@@ -59,6 +59,6 @@ from .supports import (
     verify_square_negative_identity,
     verify_square_support_formula,
 )
-from .tables import CospectralTable, classify, classify_checkpointed, emit_table
+from .tables import CospectralTable, classify, emit_table
 
 __version__ = "0.1.0"

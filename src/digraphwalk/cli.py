@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .cyclotomic import Angle
 from .digraph import Digraph, PreconditionError, from_compact_code, make_Y, parse_arc_list
@@ -31,13 +32,7 @@ from .operators import (
 )
 from .spectra import spectra_match, spectrum_U_oracle, spectrum_U_via_mapping
 from .supports import digon_count_via_trace, power_support, verify_square_support_formula
-from .tables import (
-    STANDARD_TABLES,
-    classify,
-    classify_checkpointed,
-    emit_table,
-    verify_against_published,
-)
+from .tables import STANDARD_TABLES, classify, emit_table, verify_against_published
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -229,10 +224,9 @@ def cmd_tables(args) -> int:
     for table_id, (functor, eta) in selected.items():
         tables = []
         for n in orders:
-            if n > 5:
-                t = classify_checkpointed(n, functor, eta, args.checkpoint, progress=None)
-            else:
-                t = classify(n, functor, eta, jobs=args.jobs)
+            # one directory per table and order: a checkpoint holds one run
+            ck = Path(args.checkpoint, table_id, f"order-{n}") if args.checkpoint else None
+            t = classify(n, functor, eta, jobs=args.jobs, checkpoint=ck)
             tables.append(t)
             if args.verify_paper and table_id in STANDARD_TABLES:
                 mismatches.extend(verify_against_published(table_id, t))
@@ -303,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=("csv", "json", "markdown"), default="markdown")
     t.add_argument("--jobs", type=int, default=1, help="parallel classing workers")
     t.add_argument("--long-run", action="store_true", help="allow order 6")
-    t.add_argument("--checkpoint", help="checkpoint directory for the order-6 run")
+    t.add_argument("--checkpoint",
+                   help="resumable checkpoint directory (required for order 6); "
+                        "each table and order gets a subdirectory TABLE/order-N")
     t.add_argument("--verify-paper", action="store_true",
                    help="compare every cell against the published values")
     t.add_argument("--output", help="write tables to a file instead of stdout")

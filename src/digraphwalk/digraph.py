@@ -102,30 +102,6 @@ def weakly_connected(g: Digraph) -> bool:
     return count == g.n
 
 
-def weak_components(g: Digraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 def is_regular(g: Digraph) -> int | None:
     """Common underlying degree k if G is k-regular, else None."""
     deg = degrees(g)

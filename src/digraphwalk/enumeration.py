@@ -86,10 +86,6 @@ def _decode_digits(values: np.ndarray, positions: int, base: int) -> np.ndarray:
     return out
 
 
-def _encode_pow(positions: int, base: int) -> np.ndarray:
-    return np.array([base ** (positions - 1 - k) for k in range(positions)], dtype=np.int64)
-
-
 def orbit_minimal_values(total: int, positions: int, base: int, actions,
                          chunk: int = 1 << 22, start: int = 0, stop: int | None = None):
     """Yield arrays of code values equal to the minimum over their orbit.
@@ -97,7 +93,6 @@ def orbit_minimal_values(total: int, positions: int, base: int, actions,
     ``actions`` are the non-identity (src, swap) position actions of the
     group; rejection is staged so most candidates die on an early action."""
     stop = total if stop is None else stop
-    pow_vec = _encode_pow(positions, base)
     swap_lut = _SWAP4 if base == 4 else _SWAP3
     for lo in range(start, stop, chunk):
         vals = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
@@ -111,7 +106,12 @@ def orbit_minimal_values(total: int, positions: int, base: int, actions,
             if swap.any():
                 cols = np.flatnonzero(swap)
                 sub[:, cols] = swap_lut[sub[:, cols]]
-            image = sub @ pow_vec
+            # Horner, one column at a time: images are < 4^15, so int64 is
+            # exact, and no int64 copy of the whole digit block is made
+            image = sub[:, 0].astype(np.int64)
+            for k in range(1, positions):
+                image *= base
+                image += sub[:, k]
             alive[idx] = image >= vals[idx]
         yield vals[alive]
 
@@ -317,11 +317,3 @@ def enumerate_regular_digraphs(n: int, k: int, chunk: int = 1 << 22):
         return
     for base in enumerate_undirected_graphs(n, degree=k):
         yield from orientations_up_to_iso(base, chunk=chunk)
-
-
-def count_digraphs(n: int) -> int:
-    """Class count for order n (walks the full space; slow for n = 6)."""
-    total = 0
-    for block in enumerate_digraph_codes(n):
-        total += block.size
-    return total

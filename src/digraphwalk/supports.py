@@ -4,10 +4,16 @@ identities that govern the squared walk.
 The support of the n-th power reads off the exact sign of the real part of
 each entry of D_theta * U_theta^n.  For the angles whose scalar field is
 rational or imaginary quadratic (every tabulated angle), the sign data is
-obtained from integer matrices: positive diagonal factors are pulled out of
-the product symbolically, leaving integer matrix products whose real parts
-have rational cosine coefficients, so numpy int64 arithmetic decides every
+obtained from integer matrices, and numpy int64 arithmetic decides every
 sign exactly.  Other angles fall back to elementwise exact scalars.
+
+Why the integer route is exact at any size: U[a, b] is nonzero only when
+t(b) = o(a), so an entry (U^2)[a, c] has at most one middle arc,
+b = (t(c), o(a)).  Each entry is therefore a single product, and its
+positive factors (the coin's 1/deg, the magnitude of U[a, b]) can be
+dropped without changing its sign: the products use sign(S Chat) on the
+left.  Every entry is then bounded by den * max|phase coordinate| *
+max(2, max deg) * (number of phase coordinates), far inside int64.
 """
 
 from __future__ import annotations
@@ -62,13 +68,6 @@ class SupportMatrix:
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
-    def hadamard(self, other: "SupportMatrix") -> "SupportMatrix":
-        if self.space != other.space:
-            raise ValueError("arc-space mismatch")
-        data = tuple(tuple(x * y for x, y in zip(r, s))
-                     for r, s in zip(self.data, other.data))
-        return SupportMatrix(self.space, data, self.sign, self.power, self.eta)
-
     def grid_text(self) -> str:
         header = " ".join(f"{u}>{v}" for u, v in self.space.labels)
         lines = [f"# arcs: {header}"]
@@ -88,9 +87,6 @@ def support(m: OpMatrix, sign, real_part: bool = False) -> SupportMatrix:
                     raise PreconditionError(
                         "matrix has non-real entries; pass real_part=True for "
                         "real-part semantics")
-    if m.row_sqrt is not None or m.col_sqrt is not None:
-        # positive diagonal scaling cannot change signs
-        pass
     data = tuple(tuple(1 if x.real_part_sign() == want else 0 for x in row)
                  for row in m.data)
     return SupportMatrix(m.row_space, data, want)
@@ -138,9 +134,8 @@ def sign_data_power(g: Digraph, eta: Angle, n: int) -> np.ndarray | None:
     if n == 1:
         # D_theta U_theta = U(G^+-) = diag(1/deg o) * (S Chat): real, any angle
         return np.sign(s_chat).astype(np.int64)
-    big_l = lcm(*[int(deg[v]) for v in set(space.origin)])
-    dm = big_l // deg[o]
-    left = s_chat * dm[None, :]
+    # sign(s_chat) stands in for the positively scaled U: see the module docstring
+    left = np.sign(s_chat)
     comps = _phase_components(eta, space.theta_weight)
     prods = [left @ (comp[inv][:, None] * s_chat) for comp in comps]
     # Re = sum_k prods[k] * cos(2 pi k / m); scale to integers
@@ -156,9 +151,7 @@ def grover_square_signs(g: Digraph) -> np.ndarray:
         raise NoArcsError("digraph has no arcs")
     _, t, o, inv, deg, chat = _int_arrays(space)
     s_chat = chat[inv, :]
-    big_l = lcm(*[int(deg[v]) for v in set(space.origin)])
-    dm = big_l // deg[o]
-    return np.sign((s_chat * dm[None, :]) @ s_chat).astype(np.int64)
+    return np.sign(np.sign(s_chat) @ s_chat).astype(np.int64)
 
 
 def digon_locator_array(g: Digraph, space: ArcSpace | None = None) -> np.ndarray:

@@ -5,15 +5,20 @@ chosen matrix functor: the 0/1 adjacency matrix, the eta-Hermitian
 adjacency matrix, or the positive support of the squared transfer matrix
 (the arcless digraph is excluded for the latter, which needs an arc space).
 Class counts are split by whether class members are graphs (every arc in a
-digon) or proper digraphs.  A checkpointed partition runner covers the
-order-6 space, which is a long-run target.
+digon) or proper digraphs.  One pipeline serves every order: the code space
+is cut into partitions, each is keyed (on worker processes if asked) and
+optionally checkpointed to disk, and the partitions are merged; the
+checkpoints make the order-6 run resumable.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -215,12 +220,13 @@ def _table_from_classes(order, functor, eta, n_total, n_excluded, classes) -> Co
     return table
 
 
-def _classify_range(order: int, functor: str, eta_pq, start: int, stop: int,
-                    chunk: int):
-    eta = Angle(*eta_pq) if eta_pq else None
+def _key_partition(task):
+    """(digraphs, excluded, {key: [class size, graphs in class]}) for the
+    canonical codes in [lo, hi); task = (order, functor, eta, lo, hi)."""
+    order, functor, eta, lo, hi = task
     classes: dict = {}
     n_total = n_excluded = 0
-    for block in enumerate_digraph_codes(order, chunk=chunk, start=start, stop=stop):
+    for block in enumerate_digraph_codes(order, chunk=hi - lo, start=lo, stop=hi):
         for value in block.tolist():
             g = code_value_to_digraph(order, value)
             n_total += 1
@@ -228,52 +234,68 @@ def _classify_range(order: int, functor: str, eta_pq, start: int, stop: int,
             if key is None:
                 n_excluded += 1
                 continue
-            slot = classes.get(key)
-            graph_flag = 1 if is_graph(g) else 0
-            if slot is None:
-                classes[key] = [1, graph_flag]
-            else:
-                slot[0] += 1
-                slot[1] += graph_flag
+            slot = classes.setdefault(key, [0, 0])
+            slot[0] += 1
+            slot[1] += is_graph(g)
     return n_total, n_excluded, classes
 
 
-def _merge_classes(target: dict, part: dict):
-    for key, (count, graphs) in part.items():
-        slot = target.get(key)
-        if slot is None:
-            target[key] = [count, graphs]
-        else:
+def _keyed_partitions(todo: dict, jobs: int, ckdir: Path | None):
+    """Key each partition of ``todo`` (index -> _key_partition task) once, on
+    a pool of ``jobs`` workers when there is more than one, and write it to
+    the checkpoint directory if there is one."""
+    if jobs > 1 and len(todo) > 1:
+        # the platform's default start method: "spawn" would re-import the
+        # caller's __main__ in every worker, which fails (and respawns
+        # without end) for scripts read from stdin
+        pool = mp.Pool(min(jobs, len(todo)))
+        keyed = pool.imap(_key_partition, todo.values())
+    else:
+        pool = nullcontext()
+        keyed = map(_key_partition, todo.values())
+    with pool:
+        for part, result in zip(todo, keyed):
+            if ckdir is not None:
+                _write_partition(ckdir, part, result)
+            yield result
+
+
+def _merge(order, functor, eta, partitions) -> CospectralTable:
+    classes: dict = {}
+    n_total = n_excluded = 0
+    for pt, pe, part in partitions:
+        n_total += pt
+        n_excluded += pe
+        for key, (count, graphs) in part.items():
+            slot = classes.setdefault(key, [0, 0])
             slot[0] += count
             slot[1] += graphs
+    return _table_from_classes(order, functor, eta, n_total, n_excluded, classes)
 
 
-def classify(order: int, functor: str, eta: Angle | None = None,
-             chunk: int = 1 << 22, jobs: int = 1) -> CospectralTable:
+def classify(order: int, functor: str, eta: Angle | None = None, chunk: int = 1 << 22,
+             jobs: int = 1, checkpoint: str | Path | None = None) -> CospectralTable:
     """Group all digraphs of one order by exact charpoly of the functor.
 
-    ``jobs`` > 1 splits the assignment space across worker processes; the
-    merged result is independent of the split."""
-    eta_pq = (eta.p, eta.q) if eta else None
-    space_size = 4 ** (order * (order - 1) // 2)
-    if jobs <= 1 or space_size <= chunk:
-        n_total, n_excluded, classes = _classify_range(order, functor, eta_pq,
-                                                       0, space_size, chunk)
-    else:
-        import multiprocessing as mp
-
-        n_ranges = jobs * 4
-        step = (space_size + n_ranges - 1) // n_ranges
-        ranges = [(order, functor, eta_pq, lo, min(lo + step, space_size), chunk)
-                  for lo in range(0, space_size, step)]
-        classes = {}
-        n_total = n_excluded = 0
-        with mp.Pool(jobs) as pool:
-            for pt, pe, part in pool.starmap(_classify_range, ranges):
-                n_total += pt
-                n_excluded += pe
-                _merge_classes(classes, part)
-    return _table_from_classes(order, functor, eta, n_total, n_excluded, classes)
+    The code space is cut into ``chunk``-value partitions, each keyed once:
+    in this process when ``jobs`` is 1, on ``jobs`` worker processes
+    otherwise.  With a ``checkpoint`` directory every keyed partition is
+    written there and partitions already there are read back instead, so an
+    interrupted run resumes where it stopped.  The result depends on none of
+    chunk, jobs and the resume point."""
+    space = 4 ** (order * (order - 1) // 2)
+    todo = {part: (order, functor, eta, lo, min(lo + chunk, space))
+            for part, lo in enumerate(range(0, space, chunk))}
+    ckdir = None if checkpoint is None else Path(checkpoint)
+    stored: list[int] = []
+    if ckdir is not None:
+        _open_checkpoint(ckdir, order, functor, eta, chunk, len(todo))
+        stored = [part for part in todo if _partition_path(ckdir, part).exists()]
+        for part in stored:
+            del todo[part]
+    partitions = chain((_read_partition(ckdir, part) for part in stored),
+                       _keyed_partitions(todo, jobs, ckdir))
+    return _merge(order, functor, eta, partitions)
 
 
 # -- standard table set -------------------------------------------------------
@@ -383,107 +405,68 @@ def emit_table(tables, fmt: str = "markdown") -> str:
     raise PreconditionError(f"unknown format {fmt!r}; pick csv, json or markdown")
 
 
-# -- checkpointed long run ------------------------------------------------------
+# -- checkpoint files -------------------------------------------------------------
+
+# Version of the classing_key encoding; raise it whenever a key for the same
+# digraph changes, so that partitions written under the old keys are refused.
+KEY_FORMAT = 1
 
 
-def _write_partition(path: Path, classes: dict, counters: tuple[int, int]):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">QQ", *counters))
-        for key, (count, graphs) in sorted(classes.items()):
-            fh.write(struct.pack(">I", len(key)))
-            fh.write(key)
-            fh.write(struct.pack(">QQ", count, graphs))
-
-
-def _read_partition(path: Path):
-    classes = {}
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise ValueError(f"checkpoint {path.name}: truncated header")
-        n_total, n_excluded = struct.unpack(">QQ", head)
-        while True:
-            lenblob = fh.read(4)
-            if not lenblob:
-                break
-            (klen,) = struct.unpack(">I", lenblob)
-            blob = fh.read(klen)
-            tail = fh.read(16)
-            if len(blob) != klen or len(tail) != 16:
-                raise ValueError(f"checkpoint {path.name}: truncated record")
-            count, graphs = struct.unpack(">QQ", tail)
-            classes[blob] = [count, graphs]
-    return n_total, n_excluded, classes
-
-
-def classify_checkpointed(order: int, functor: str, eta: Angle | None,
-                          checkpoint_dir: str | Path, chunk: int = 1 << 22,
-                          progress=None) -> CospectralTable:
-    """Partitioned classify with resumable per-partition checkpoint files.
-
-    Intended for the order-6 long run; each partition covers ``chunk``
-    assignment values and is written once finished, so an interrupted run
-    resumes at the first missing partition."""
-    ckdir = Path(checkpoint_dir)
+def _open_checkpoint(ckdir: Path, order, functor, eta, chunk, n_parts):
+    """Create the directory, or refuse it when its meta.json records another run."""
     ckdir.mkdir(parents=True, exist_ok=True)
-    positions = order * (order - 1) // 2
-    total_space = 4 ** positions
-    n_parts = (total_space + chunk - 1) // chunk
     meta_path = ckdir / "meta.json"
     meta = {
         "order": order, "functor": functor,
         "eta": str(eta) if eta else None,
         "chunk": chunk, "partitions": n_parts,
+        "key_format": KEY_FORMAT,
     }
     if meta_path.exists():
-        old = json.loads(meta_path.read_text())
+        try:
+            old = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"checkpoint {meta_path} is unreadable: {exc}") from exc
         if old != meta:
-            raise ValueError(f"checkpoint directory holds a different run: {old}")
+            raise PreconditionError(f"checkpoint directory {ckdir} holds a different run: {old}")
     else:
         meta_path.write_text(json.dumps(meta))
-    for part in range(n_parts):
-        path = ckdir / f"part-{part:06d}.bin"
-        if path.exists():
-            continue
-        lo = part * chunk
-        hi = min(lo + chunk, total_space)
-        classes: dict = {}
-        n_total = n_excluded = 0
-        for block in enumerate_digraph_codes(order, chunk=chunk, start=lo, stop=hi):
-            for value in block.tolist():
-                g = code_value_to_digraph(order, value)
-                n_total += 1
-                key = classing_key(g, functor, eta)
-                if key is None:
-                    n_excluded += 1
-                    continue
-                flag = 1 if is_graph(g) else 0
-                slot = classes.get(key)
-                if slot is None:
-                    classes[key] = [1, flag]
-                else:
-                    slot[0] += 1
-                    slot[1] += flag
-        tmp = path.with_suffix(".tmp")
-        _write_partition(tmp, classes, (n_total, n_excluded))
-        tmp.rename(path)
-        if progress:
-            progress(part + 1, n_parts)
-    merged: dict = {}
-    n_total = n_excluded = 0
-    for part in range(n_parts):
-        path = ckdir / f"part-{part:06d}.bin"
-        try:
-            pt, pe, classes = _read_partition(path)
-        except ValueError as exc:
-            raise ValueError(f"partition {part}: {exc}") from exc
-        n_total += pt
-        n_excluded += pe
-        for key, (count, graphs) in classes.items():
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [count, graphs]
-            else:
-                slot[0] += count
-                slot[1] += graphs
-    return _table_from_classes(order, functor, eta, n_total, n_excluded, merged)
+
+
+def _partition_path(ckdir: Path, part: int) -> Path:
+    return ckdir / f"part-{part:06d}.bin"
+
+
+def _write_partition(ckdir: Path, part: int, result):
+    n_total, n_excluded, classes = result
+    path = _partition_path(ckdir, part)
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(struct.pack(">QQ", n_total, n_excluded))
+        for key, (count, graphs) in sorted(classes.items()):
+            fh.write(struct.pack(">I", len(key)))
+            fh.write(key)
+            fh.write(struct.pack(">QQ", count, graphs))
+    tmp.rename(path)
+
+
+def _read_partition(ckdir: Path, part: int):
+    path = _partition_path(ckdir, part)
+    classes = {}
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) != 16:
+            raise PreconditionError(f"checkpoint partition {part} ({path}): truncated header")
+        n_total, n_excluded = struct.unpack(">QQ", head)
+        while True:
+            lenblob = fh.read(4)
+            if not lenblob:
+                break
+            klen = struct.unpack(">I", lenblob)[0] if len(lenblob) == 4 else -1
+            blob = fh.read(max(klen, 0))
+            tail = fh.read(16)
+            if len(blob) != klen or len(tail) != 16:
+                raise PreconditionError(f"checkpoint partition {part} ({path}): truncated record")
+            count, graphs = struct.unpack(">QQ", tail)
+            classes[blob] = [count, graphs]
+    return n_total, n_excluded, classes

@@ -1,6 +1,7 @@
 import json
 
 from digraphwalk.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from digraphwalk.tables import STANDARD_TABLES
 
 from util import FIG_ARCS
 
@@ -110,6 +111,29 @@ def test_tables_functor_override(capsys, tmp_path):
                      "--eta", "1/3", "--format", "csv", "--output", str(out_file))
     assert code == EXIT_OK
     assert out_file.read_text().splitlines()[1] == '"Number of digraphs",3'
+
+
+def test_tables_checkpoint_per_table_and_resume(capsys, tmp_path):
+    ck = tmp_path / "ck"
+    argv = ("tables", "--order", "3", "--table", "all", "--checkpoint", str(ck),
+            "--verify-paper")
+    code, first, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    for table_id in STANDARD_TABLES:
+        assert list((ck / table_id / "order-3").glob("part-*.bin"))
+    code, again, _ = run(capsys, *argv)
+    assert code == EXIT_OK and again == first
+
+
+def test_tables_checkpoint_of_other_run_is_one_line_error(capsys, tmp_path):
+    ck = str(tmp_path / "ck")
+    code, _, _ = run(capsys, "tables", "--order", "2", "--functor", "Heta", "--eta", "1/3",
+                     "--checkpoint", ck)
+    assert code == EXIT_OK
+    code, _, err = run(capsys, "tables", "--order", "2", "--functor", "Heta", "--eta", "2/3",
+                       "--checkpoint", ck)
+    assert code == EXIT_PRECONDITION
+    assert "different run" in err and len(err.strip().splitlines()) == 1
 
 
 def test_tables_mismatch_exit_code(capsys, monkeypatch):

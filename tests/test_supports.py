@@ -1,4 +1,6 @@
 import random
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from digraphwalk.supports import (
     digon_count_via_trace,
     eta_regime,
     grover_positive_support_regular,
+    grover_square_signs,
     pair_class,
     power_support,
     support,
@@ -229,3 +232,36 @@ def test_grid_text_render():
     text = sup.grid_text()
     assert text.startswith("# arcs: 0>1 1>0")
     assert len(text.splitlines()) == 9
+
+
+def test_square_signs_exact_on_star_forest():
+    # disjoint stars with centre degrees the primes 2..47; their degree lcm,
+    # 6.1e17, overflowed int64 when the sign kernels scaled by it
+    arcs, centre = set(), 0
+    for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for leaf in range(centre + 1, centre + 1 + d):
+            arcs |= {(centre, leaf), (leaf, centre)}
+        centre += 1 + d
+    g = Digraph(centre, frozenset(arcs))
+    space = ArcSpace(g)
+    # exact Grover U by sparse rows: U[a, b] is nonzero only when t(b) = o(a)
+    into = defaultdict(list)
+    for b, t in enumerate(space.terminus):
+        into[t].append(b)
+    rows = []
+    for a, o in enumerate(space.origin):
+        row = {b: Fraction(2, len(into[o])) for b in into[o]}
+        row[space.inv[a]] -= 1
+        rows.append(row)
+    want = np.zeros((len(space), len(space)), dtype=np.int64)
+    for a, row in enumerate(rows):
+        acc = defaultdict(Fraction)
+        for b, x in row.items():
+            for c, y in rows[b].items():
+                acc[c] += x * y
+        for c, val in acc.items():
+            want[a, c] = (val > 0) - (val < 0)
+    assert np.array_equal(grover_square_signs(g), want)
+    # every arc lies in a digon, so D_theta = I and U_theta = U at any angle
+    sup = power_support(g, Angle(1, 2), 2, "+")
+    assert np.array_equal(np.array(sup.data), (want == 1).astype(np.int64))

@@ -9,7 +9,6 @@ from digraphwalk.tables import (
     ROW_LABELS,
     STANDARD_TABLES,
     classify,
-    classify_checkpointed,
     classing_key,
     emit_table,
     verify_against_published,
@@ -100,25 +99,50 @@ def test_emit_empty_is_header_only():
 
 def test_checkpointed_classify_matches_direct(tmp_path):
     direct = classify(3, "U2plus", Angle(1, 2))
-    ck = classify_checkpointed(3, "U2plus", Angle(1, 2), tmp_path / "run", chunk=7)
+    ck = classify(3, "U2plus", Angle(1, 2), chunk=7, checkpoint=tmp_path / "run")
     assert ck == direct
     parts = sorted(p.name for p in (tmp_path / "run").glob("part-*.bin"))
     assert len(parts) == (4 ** 3 + 6) // 7
     # resume after deleting one partition: identical result
     (tmp_path / "run" / parts[1]).unlink()
-    again = classify_checkpointed(3, "U2plus", Angle(1, 2), tmp_path / "run", chunk=7)
+    again = classify(3, "U2plus", Angle(1, 2), chunk=7, checkpoint=tmp_path / "run")
     assert again == direct
 
 
+def test_parallel_checkpoint_resume_matches_serial(tmp_path):
+    serial = classify(4, "Heta", Angle(1, 3))
+    run = tmp_path / "run"
+    assert classify(4, "Heta", Angle(1, 3), chunk=512, jobs=2, checkpoint=run) == serial
+    parts = sorted(run.glob("part-*.bin"))
+    assert len(parts) == 4 ** 6 // 512
+    for victim in parts[::3]:
+        victim.unlink()
+    assert classify(4, "Heta", Angle(1, 3), chunk=512, jobs=2, checkpoint=run) == serial
+    assert not list(run.glob("*.tmp"))
+
+
 def test_checkpoint_corruption_reported(tmp_path):
-    classify_checkpointed(2, "A", None, tmp_path / "run", chunk=2)
+    classify(2, "A", None, chunk=2, checkpoint=tmp_path / "run")
     victim = sorted((tmp_path / "run").glob("part-*.bin"))[1]
     victim.write_bytes(victim.read_bytes()[:9])
     with pytest.raises(ValueError, match="partition 1"):
-        classify_checkpointed(2, "A", None, tmp_path / "run", chunk=2)
+        classify(2, "A", None, chunk=2, checkpoint=tmp_path / "run")
 
 
 def test_checkpoint_dir_guards_run_identity(tmp_path):
-    classify_checkpointed(2, "A", None, tmp_path / "run", chunk=16)
+    classify(2, "A", None, chunk=16, checkpoint=tmp_path / "run")
     with pytest.raises(ValueError, match="different run"):
-        classify_checkpointed(2, "H", Angle(1, 2), tmp_path / "run", chunk=16)
+        classify(2, "H", Angle(1, 2), chunk=16, checkpoint=tmp_path / "run")
+
+
+def test_checkpoint_without_key_format_rejected(tmp_path):
+    run = tmp_path / "run"
+    classify(2, "A", None, chunk=16, checkpoint=run)
+    meta = json.loads((run / "meta.json").read_text())
+    del meta["key_format"]
+    (run / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(PreconditionError, match="different run"):
+        classify(2, "A", None, chunk=16, checkpoint=run)
+    (run / "meta.json").write_text("{")
+    with pytest.raises(PreconditionError, match="unreadable"):
+        classify(2, "A", None, chunk=16, checkpoint=run)
