@@ -493,16 +493,30 @@ def _interval_real_sign(x: CycScalar) -> int:
     raise RuntimeError(f"sign of Re({x!r}) unresolved at extreme precision")
 
 
+@lru_cache(maxsize=32)
+def _interval_unit_circle(m: int, prec: int) -> tuple:
+    """Intervals (cos, sin) of 2*pi*k/m at ``prec`` bits, one per power-basis
+    coordinate k; the same for every element of Q(zeta_m), so made once."""
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = prec
+        two_pi = 2 * iv.pi
+        return tuple((iv.cos(two_pi * k / m), iv.sin(two_pi * k / m))
+                     for k in range(_ring(m).phi))
+    finally:
+        iv.prec = old
+
+
 def _interval_eval_sign(x: CycScalar, prec: int) -> int:
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = prec
         total = iv.mpf(0)
-        two_pi = 2 * iv.pi
-        for k, c in enumerate(x.num):
+        for c, (cos, _) in zip(x.num, _interval_unit_circle(x.m, prec)):
             if c:
-                total += c * iv.cos(two_pi * k / x.m)
+                total += c * cos
         if total.a > 0:
             return 1
         if total.b < 0:
@@ -523,11 +537,10 @@ def _interval_to_complex(x: CycScalar) -> complex:
             iv.prec = prec
             re = iv.mpf(0)
             im = iv.mpf(0)
-            two_pi = 2 * iv.pi
-            for k, c in enumerate(x.num):
+            for c, (cos, sin) in zip(x.num, _interval_unit_circle(x.m, prec)):
                 if c:
-                    re += c * iv.cos(two_pi * k / x.m)
-                    im += c * iv.sin(two_pi * k / x.m)
+                    re += c * cos
+                    im += c * sin
             re_mid = 0.0 if re_zero else float(re.mid) / x.den
             im_mid = 0.0 if im_zero else float(im.mid) / x.den
             width = max(

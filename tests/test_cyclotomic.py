@@ -178,6 +178,27 @@ def test_to_float_random_against_numeric(tmp_path):
             assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
+def test_interval_paths_at_pi_over_5_and_7():
+    # orders 10 and 14 take the interval paths of to_float and real_part_sign;
+    # the second pass reads cached cos/sin intervals, and mpmath's working
+    # precision is left as it was
+    import mpmath
+
+    rng = random.Random(11)
+    prec = mpmath.iv.prec
+    for m in (10, 14):
+        for _ in range(2):
+            for _ in range(20):
+                x = random_scalar(rng, m)
+                direct = sum(
+                    Fraction(c, x.den) * cmath.exp(2j * cmath.pi * k / m)
+                    for k, c in enumerate(x.num))
+                assert abs(to_float(x) - direct) <= 1e-12 * max(1.0, abs(direct))
+                if abs(direct.real) > 1e-9:
+                    assert real_part_sign(x) == (1 if direct.real > 0 else -1)
+    assert mpmath.iv.prec == prec
+
+
 def test_render_round_trip_readable():
     x = CycScalar.from_coeffs(6, [Fraction(1, 3), Fraction(-2)])
     assert x.render() == "1/3 - 2*z(6)"
