@@ -87,15 +87,17 @@ def _decode_digits(values: np.ndarray, positions: int, base: int) -> np.ndarray:
 
 
 def orbit_minimal_values(total: int, positions: int, base: int, actions,
-                         chunk: int = 1 << 22, start: int = 0, stop: int | None = None):
+                         chunk: int = 1 << 22, start: int = 0, stop: int | None = None,
+                         step: int = 1):
     """Yield arrays of code values equal to the minimum over their orbit.
 
-    ``actions`` are the non-identity (src, swap) position actions of the
-    group; rejection is staged so most candidates die on an early action."""
+    The candidates are start, start + step, ... below stop, ``chunk`` at a
+    time.  ``actions`` are the non-identity (src, swap) position actions of
+    the group; rejection is staged so most candidates die on an early action."""
     stop = total if stop is None else stop
     swap_lut = _SWAP4 if base == 4 else _SWAP3
-    for lo in range(start, stop, chunk):
-        vals = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
+    for lo in range(start, stop, chunk * step):
+        vals = np.arange(lo, min(lo + chunk * step, stop), step, dtype=np.int64)
         digits = _decode_digits(vals, positions, base)
         alive = np.ones(vals.size, dtype=bool)
         for src, swap in actions:
@@ -122,14 +124,15 @@ def _digraph_actions(n: int):
 
 
 def enumerate_digraph_codes(n: int, chunk: int = 1 << 22,
-                            start: int = 0, stop: int | None = None):
-    """Stream canonical code values for all digraphs of order n, ascending."""
+                            start: int = 0, stop: int | None = None, step: int = 1):
+    """Stream canonical code values for all digraphs of order n, ascending;
+    start, stop and step select the candidate values as in range()."""
     if not 2 <= n <= 6:
         raise PreconditionError(f"enumeration supports orders 2..6, got {n}")
     positions = n * (n - 1) // 2
     yield from orbit_minimal_values(4 ** positions, positions, 4,
                                     _digraph_actions(n), chunk=chunk,
-                                    start=start, stop=stop)
+                                    start=start, stop=stop, step=step)
 
 
 def code_value_to_digraph(n: int, value: int) -> Digraph:

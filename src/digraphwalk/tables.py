@@ -16,143 +16,99 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import struct
+import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .cyclotomic import Angle
-from .digraph import Digraph, PreconditionError, is_graph
-from .enumeration import code_value_to_digraph, enumerate_digraph_codes
+from .cyclotomic import Angle, make_root
+from .digraph import Digraph, PreconditionError, pair_order
+from .enumeration import enumerate_digraph_codes
 from .operators import build_H_eta
-from .spectra import charpoly_exact, charpoly_int, cospectral_key
-from .supports import sign_data_power, power_support
+from .spectra import charpoly_batch, charpoly_exact, cospectral_key
+from .supports import power_support, sign_data_power
 
 FUNCTORS = ("A", "H", "Heta", "U2plus")
-
-# quadratic-ring reduction zeta^2 = s + t*zeta for the tabulated angles
-_QUAD_RULE = {4: (-1, 0), 6: (-1, 1)}
-
-
-def _charpoly_pairs(rows, s: int, t: int) -> list[int]:
-    """Berkowitz over Z[zeta] with zeta^2 = s + t*zeta; entries are int pairs.
-
-    The input must be Hermitian so that the coefficients are plain integers;
-    a nonzero zeta-component in any coefficient is an arithmetic error."""
-    n = len(rows)
-
-    def pmul(x, y):
-        a, b = x
-        c, d = y
-        bd = b * d
-        return (a * c + s * bd, a * d + b * c + t * bd)
-
-    def pdot(xs, ys):
-        a0 = b0 = 0
-        for (a, b), (c, d) in zip(xs, ys):
-            bd = b * d
-            a0 += a * c + s * bd
-            b0 += a * d + b * c + t * bd
-        return (a0, b0)
-
-    if n == 0:
-        return [1]
-    one, zero = (1, 0), (0, 0)
-    coeffs = [one, (-rows[0][0][0], -rows[0][0][1])]
-    for k in range(1, n):
-        d = rows[k][k]
-        r = rows[k][:k]
-        c = [rows[j][k] for j in range(k)]
-        sub = [row[:k] for row in rows[:k]]
-        sm = []
-        v = c
-        for j in range(k):
-            sm.append(pdot(r, v))
-            if j < k - 1:
-                v = [pdot(row, v) for row in sub]
-        t_col = [one, (-d[0], -d[1])] + [(-x[0], -x[1]) for x in sm]
-        new = []
-        for i in range(k + 2):
-            acc = zero
-            for j in range(max(0, i - k - 1), min(i, k) + 1):
-                p = pmul(t_col[i - j], coeffs[j])
-                acc = (acc[0] + p[0], acc[1] + p[1])
-            new.append(acc)
-        coeffs = new
-    out = []
-    for a, b in coeffs:
-        if b:
-            raise ArithmeticError("Hermitian charpoly produced a non-real coefficient")
-        out.append(a)
-    return out
-
-
-def _hermitian_pair_rows(g: Digraph, eta: Angle):
-    """H_eta entries as integer pairs over {1, zeta_m}, for m in {2, 4, 6}."""
-    m = eta.order
-    from .cyclotomic import make_root
-
-    root = make_root(eta)
-    fwd = tuple(root.num) if m != 2 else (root.num[0], 0)
-    bwd = tuple(root.conj().num) if m != 2 else (root.conj().num[0], 0)
-    rows = []
-    for x in range(g.n):
-        row = []
-        for y in range(g.n):
-            f, b = (x, y) in g.arcs, (y, x) in g.arcs
-            if f and b:
-                row.append((1, 0))
-            elif f:
-                row.append(fwd)
-            elif b:
-                row.append(bwd)
-            else:
-                row.append((0, 0))
-        rows.append(row)
-    return rows
 
 
 def _int_key(coeffs) -> bytes:
     return ";".join(str(v) for v in coeffs).encode()
 
 
+def _adjacency_stack(order: int, values: np.ndarray) -> np.ndarray:
+    """(B, n, n) 0/1 adjacency matrices of the digraphs with these code values."""
+    pairs = pair_order(order)
+    adj = np.zeros((len(values), order, order), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        digit = (values >> (2 * (len(pairs) - 1 - k))) & 3
+        adj[:, i, j] = digit & 1
+        adj[:, j, i] = digit >> 1
+    return adj
+
+
+def _digraph(adj: np.ndarray) -> Digraph:
+    u, v = np.nonzero(adj)
+    return Digraph(len(adj), frozenset(zip(u.tolist(), v.tolist())))
+
+
+def _hermitian_stack(adj: np.ndarray, eta: Angle) -> np.ndarray:
+    """H_eta of each adjacency matrix: integer entries for m = 2, else pairs
+    (a, b) standing for a + b*zeta_m, the coordinates of the exact scalar."""
+    fwd = np.array(make_root(eta).num)          # e^{i eta} on a one-way arc
+    bwd = np.array(make_root(eta).conj().num)   # and on its reverse
+    digon = adj * np.swapaxes(adj, 1, 2)
+    one_way = adj - digon
+    h = one_way[..., None] * fwd + np.swapaxes(one_way, 1, 2)[..., None] * bwd
+    h[..., 0] += digon
+    return h[..., 0] if eta.order == 2 else h
+
+
+def _square_support(g: Digraph, eta: Angle) -> np.ndarray | None:
+    """0/1 matrix of (U^2)^+ on the arc space; None for the arcless digraph."""
+    if not g.arcs:
+        return None
+    signs = sign_data_power(g, eta, 2)
+    if signs is None:
+        return np.array(power_support(g, eta, 2, "+").data, dtype=bool)
+    return signs == 1
+
+
+def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[bytes | None]:
+    """Canonical charpoly keys of functor(g) for a (B, n, n) stack of 0/1
+    adjacency matrices; None where g is excluded.  Every integer and
+    quadratic-field charpoly comes from one charpoly_batch call per matrix
+    dimension."""
+    if functor == "H":
+        functor, eta = "Heta", Angle(1, 2)
+    if functor not in FUNCTORS:
+        raise PreconditionError(f"unsupported functor {functor!r}; pick one of {FUNCTORS}")
+    if functor != "A" and eta is None:
+        raise PreconditionError(f"{functor} classing needs an angle")
+    if functor == "A":
+        return [_int_key(c) for c in charpoly_batch(adj)]
+    if functor == "Heta":
+        if eta.order in (2, 4, 6):
+            return [_int_key(c) for c in charpoly_batch(_hermitian_stack(adj, eta), eta.order)]
+        return [cospectral_key(charpoly_exact(build_H_eta(_digraph(a), eta))) for a in adj]
+    supports = [_square_support(_digraph(a), eta) for a in adj]
+    keys: list[bytes | None] = [None] * len(supports)
+    for dim in {s.shape[0] for s in supports if s is not None}:
+        idx = [i for i, s in enumerate(supports) if s is not None and s.shape[0] == dim]
+        for i, coeffs in zip(idx, charpoly_batch(np.stack([supports[i] for i in idx]))):
+            keys[i] = _int_key(coeffs)
+    return keys
+
+
 def classing_key(g: Digraph, functor: str, eta: Angle | None) -> bytes | None:
     """Canonical charpoly key of functor(g); None when g is excluded."""
-    if functor == "A":
-        rows = [[1 if (i, j) in g.arcs else 0 for j in range(g.n)] for i in range(g.n)]
-        return _int_key(charpoly_int(rows))
-    if functor == "H":
-        eta = Angle(1, 2)
-        functor = "Heta"
-    if functor == "Heta":
-        if eta is None:
-            raise PreconditionError("Heta classing needs an angle")
-        m = eta.order
-        if m == 2:
-            sign = 1 if eta.p == 0 else -1
-            rows = [[(1 if (y, x) in g.arcs else sign) if (x, y) in g.arcs
-                     else (sign if (y, x) in g.arcs else 0)
-                     for y in range(g.n)] for x in range(g.n)]
-            return _int_key(charpoly_int(rows))
-        if m in _QUAD_RULE:
-            s, t = _QUAD_RULE[m]
-            return _int_key(_charpoly_pairs(_hermitian_pair_rows(g, eta), s, t))
-        return cospectral_key(charpoly_exact(build_H_eta(g, eta)))
-    if functor == "U2plus":
-        if eta is None:
-            raise PreconditionError("U2plus classing needs an angle")
-        if not g.arcs:
-            return None  # the arcless digraph is excluded
-        signs = sign_data_power(g, eta, 2)
-        if signs is None:
-            sup = power_support(g, eta, 2, "+")
-            rows = sup.rows()
-        else:
-            rows = (signs == 1).astype(np.int64).tolist()
-        return _int_key(charpoly_int(rows))
-    raise PreconditionError(f"unsupported functor {functor!r}; pick one of {FUNCTORS}")
+    adj = np.zeros((1, g.n, g.n), dtype=np.int64)
+    for u, v in g.arcs:
+        adj[0, u, v] = 1
+    return _classing_keys(adj, functor, eta)[0]
 
 
 @dataclass(frozen=True)
@@ -220,57 +176,77 @@ def _table_from_classes(order, functor, eta, n_total, n_excluded, classes) -> Co
     return table
 
 
+# digraphs whose matrices are built and keyed together
+_KEY_BLOCK = 1 << 11
+
+
 def _key_partition(task):
     """(digraphs, excluded, {key: [class size, graphs in class]}) for the
-    canonical codes in [lo, hi); task = (order, functor, eta, lo, hi)."""
-    order, functor, eta, lo, hi = task
+    canonical codes among lo, lo + step, ... below hi;
+    task = (order, functor, eta, lo, hi, step)."""
+    order, functor, eta, lo, hi, step = task
+    # run the enumeration to its end first, so that its work arrays are
+    # freed before the keying builds its own
+    codes = np.concatenate(list(enumerate_digraph_codes(
+        order, chunk=hi - lo, start=lo, stop=hi, step=step)))
     classes: dict = {}
-    n_total = n_excluded = 0
-    for block in enumerate_digraph_codes(order, chunk=hi - lo, start=lo, stop=hi):
-        for value in block.tolist():
-            g = code_value_to_digraph(order, value)
-            n_total += 1
-            key = classing_key(g, functor, eta)
+    n_excluded = 0
+    for first in range(0, len(codes), _KEY_BLOCK):
+        adj = _adjacency_stack(order, codes[first:first + _KEY_BLOCK])
+        graphs = (adj == np.swapaxes(adj, 1, 2)).all(axis=(1, 2)).tolist()
+        for key, graph in zip(_classing_keys(adj, functor, eta), graphs):
             if key is None:
                 n_excluded += 1
                 continue
             slot = classes.setdefault(key, [0, 0])
             slot[0] += 1
-            slot[1] += is_graph(g)
-    return n_total, n_excluded, classes
+            slot[1] += graph
+    return len(codes), n_excluded, classes
 
 
-def _keyed_partitions(todo: dict, jobs: int, ckdir: Path | None):
-    """Key each partition of ``todo`` (index -> _key_partition task) once, on
-    a pool of ``jobs`` workers when there is more than one, and write it to
-    the checkpoint directory if there is one."""
-    if jobs > 1 and len(todo) > 1:
-        # the platform's default start method: "spawn" would re-import the
-        # caller's __main__ in every worker, which fails (and respawns
-        # without end) for scripts read from stdin
-        pool = mp.Pool(min(jobs, len(todo)))
-        keyed = pool.imap(_key_partition, todo.values())
-    else:
-        pool = nullcontext()
-        keyed = map(_key_partition, todo.values())
-    with pool:
-        for part, result in zip(todo, keyed):
-            if ckdir is not None:
-                _write_partition(ckdir, part, result)
-            yield result
-
-
-def _merge(order, functor, eta, partitions) -> CospectralTable:
+def _fold(results):
+    """Sum keyed results into one (digraphs, excluded, classes) record."""
     classes: dict = {}
     n_total = n_excluded = 0
-    for pt, pe, part in partitions:
+    for pt, pe, part in results:
         n_total += pt
         n_excluded += pe
         for key, (count, graphs) in part.items():
             slot = classes.setdefault(key, [0, 0])
             slot[0] += count
             slot[1] += graphs
-    return _table_from_classes(order, functor, eta, n_total, n_excluded, classes)
+    return n_total, n_excluded, classes
+
+
+def _keyed_partitions(todo: dict, jobs: int, ckdir: Path | None):
+    """Key each partition of ``todo`` (index -> (order, functor, eta, lo, hi))
+    once, on a pool of ``jobs`` workers when there is more than one, and
+    write it to the checkpoint directory if there is one.
+
+    With fewer partitions than workers, each partition's range is keyed as
+    ``jobs`` interleaved sub-ranges (lo + i, lo + i + jobs, ...) folded back
+    into the one partition record: canonical codes crowd the low end of the
+    code space, so contiguous sub-ranges would leave all but one worker idle."""
+    pieces = jobs if len(todo) < jobs else 1
+    subtasks = [(part, (order, functor, eta, lo + i, hi, pieces))
+                for part, (order, functor, eta, lo, hi) in todo.items()
+                for i in range(min(pieces, hi - lo))]
+    tasks = [task for _, task in subtasks]
+    if jobs > 1 and len(tasks) > 1:
+        # the platform's default start method: "spawn" would re-import the
+        # caller's __main__ in every worker, which fails (and respawns
+        # without end) for scripts read from stdin
+        pool = mp.Pool(min(jobs, len(tasks)))
+        keyed = pool.imap(_key_partition, tasks)
+    else:
+        pool = nullcontext()
+        keyed = map(_key_partition, tasks)
+    with pool:
+        for part, group in groupby(zip((part for part, _ in subtasks), keyed), key=itemgetter(0)):
+            result = _fold(r for _, r in group)
+            if ckdir is not None:
+                _write_partition(ckdir, part, result)
+            yield result
 
 
 def classify(order: int, functor: str, eta: Angle | None = None, chunk: int = 1 << 22,
@@ -295,7 +271,7 @@ def classify(order: int, functor: str, eta: Angle | None = None, chunk: int = 1 
             del todo[part]
     partitions = chain((_read_partition(ckdir, part) for part in stored),
                        _keyed_partitions(todo, jobs, ckdir))
-    return _merge(order, functor, eta, partitions)
+    return _table_from_classes(order, functor, eta, *_fold(partitions))
 
 
 # -- standard table set -------------------------------------------------------
@@ -407,9 +383,10 @@ def emit_table(tables, fmt: str = "markdown") -> str:
 
 # -- checkpoint files -------------------------------------------------------------
 
-# Version of the classing_key encoding; raise it whenever a key for the same
-# digraph changes, so that partitions written under the old keys are refused.
-KEY_FORMAT = 1
+# Version of the checkpoint format; raise it whenever a key for the same
+# digraph or the layout of a partition file changes, so that partitions
+# written under the old format are refused.  2: a CRC32 ends each partition.
+KEY_FORMAT = 2
 
 
 def _open_checkpoint(ckdir: Path, order, functor, eta, chunk, n_parts):
@@ -438,35 +415,35 @@ def _partition_path(ckdir: Path, part: int) -> Path:
 
 
 def _write_partition(ckdir: Path, part: int, result):
+    """Header (digraphs, excluded), one record per class, then the CRC32 of
+    everything before it."""
     n_total, n_excluded, classes = result
+    body = [struct.pack(">QQ", n_total, n_excluded)]
+    for key, (count, graphs) in sorted(classes.items()):
+        body.append(struct.pack(">I", len(key)) + key + struct.pack(">QQ", count, graphs))
+    body = b"".join(body)
     path = _partition_path(ckdir, part)
     tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(struct.pack(">QQ", n_total, n_excluded))
-        for key, (count, graphs) in sorted(classes.items()):
-            fh.write(struct.pack(">I", len(key)))
-            fh.write(key)
-            fh.write(struct.pack(">QQ", count, graphs))
+    tmp.write_bytes(body + struct.pack(">I", zlib.crc32(body)))
     tmp.rename(path)
 
 
 def _read_partition(ckdir: Path, part: int):
     path = _partition_path(ckdir, part)
+    where = f"checkpoint partition {part} ({path})"
+    data = path.read_bytes()
+    body = data[:-4]
+    if len(data) < 20 or struct.unpack(">I", data[-4:])[0] != zlib.crc32(body):
+        raise PreconditionError(f"{where}: truncated or corrupt (checksum mismatch)")
     classes = {}
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise PreconditionError(f"checkpoint partition {part} ({path}): truncated header")
-        n_total, n_excluded = struct.unpack(">QQ", head)
-        while True:
-            lenblob = fh.read(4)
-            if not lenblob:
-                break
-            klen = struct.unpack(">I", lenblob)[0] if len(lenblob) == 4 else -1
-            blob = fh.read(max(klen, 0))
-            tail = fh.read(16)
-            if len(blob) != klen or len(tail) != 16:
-                raise PreconditionError(f"checkpoint partition {part} ({path}): truncated record")
-            count, graphs = struct.unpack(">QQ", tail)
-            classes[blob] = [count, graphs]
+    try:
+        n_total, n_excluded = struct.unpack_from(">QQ", body)
+        pos = 16
+        while pos < len(body):
+            klen = struct.unpack_from(">I", body, pos)[0]
+            key = body[pos + 4:pos + 4 + klen]
+            classes[key] = list(struct.unpack_from(">QQ", body, pos + 4 + klen))
+            pos += 20 + klen
+    except struct.error as exc:
+        raise PreconditionError(f"{where}: malformed record") from exc
     return n_total, n_excluded, classes

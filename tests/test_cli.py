@@ -170,3 +170,16 @@ def test_float_eta_escape_hatch(capsys):
     assert code == EXIT_OK and "floating angle" in out
     assert run(capsys, "build", "--family", "K 3", "--float-eta", "0.7",
                "--ops", "K")[0] == EXIT_PARSE
+
+
+def test_tables_corrupt_partition_is_one_line_error(capsys, tmp_path):
+    ck = tmp_path / "ck"
+    code, _, _ = run(capsys, "tables", "--order", "3", "--table", "A", "--checkpoint", str(ck))
+    assert code == EXIT_OK
+    part = next((ck / "A" / "order-3").glob("part-*.bin"))
+    data = bytearray(part.read_bytes())
+    data[-10] ^= 0xFF
+    part.write_bytes(bytes(data))
+    code, out, err = run(capsys, "tables", "--order", "3", "--table", "A", "--checkpoint", str(ck))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "checksum" in err and len(err.strip().splitlines()) == 1

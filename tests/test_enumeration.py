@@ -67,6 +67,15 @@ def test_enumeration_chunking_is_stable():
     assert sorted(sum(full, [])) == sorted(sum(small, []))
 
 
+def test_enumeration_strided_candidates_partition_the_codes():
+    full = sum((b.tolist() for b in enumerate_digraph_codes(4)), [])
+    strided = [sum((b.tolist() for b in enumerate_digraph_codes(4, chunk=50, start=i, step=3)), [])
+               for i in range(3)]
+    for i, codes in enumerate(strided):
+        assert codes == sorted(codes) and all(v % 3 == i for v in codes)
+    assert sorted(sum(strided, [])) == full
+
+
 def test_automorphism_groups():
     k3_edges = [(0, 1), (0, 2), (1, 2)]
     assert len(automorphisms(k3_edges, 3)) == 6

@@ -214,3 +214,104 @@ def test_charpoly_agrees_with_eig_reconstruction_up_to_dim_12():
             vals = [v.real for v in eig_hermitian(ht).as_multiset()]
             theirs = np.poly(np.array(vals))[::-1]
             assert np.allclose(coeffs, theirs, atol=1e-6)
+
+
+# -- batched modular kernel ------------------------------------------------------
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_kernel_primes_split_the_quadratic_fields():
+    from digraphwalk.spectra import CHARPOLY_PRIMES
+
+    assert len(set(CHARPOLY_PRIMES)) == len(CHARPOLY_PRIMES)
+    for p in CHARPOLY_PRIMES:
+        assert p < 2 ** 28 and p % 12 == 1 and _is_prime(p)
+
+
+def test_kernel_matches_python_berkowitz_on_random_stacks():
+    from digraphwalk.spectra import berkowitz_charpoly, charpoly_batch
+
+    rng = np.random.default_rng(2024)
+    dims = list(range(1, 17)) + [20, 24, 31, 40, 48, 57, 64]
+    for n in dims:
+        count = 3 if n <= 16 else 1
+        for stack in (rng.choice([-1, 1], size=(count, n, n)),
+                      rng.integers(-5, 6, size=(count, n, n))):
+            want = [berkowitz_charpoly(m.tolist(), 1, 0) for m in stack]
+            assert charpoly_batch(stack) == want, n
+
+
+def test_kernel_sylvester_hadamard_64():
+    # H^2 = 64 I and trace 0, so the charpoly is (x^2 - 64)^32; det = 2^192
+    # needs several primes, which only the derived count supplies
+    from math import comb
+
+    h = np.array([[1]])
+    while len(h) < 64:
+        h = np.block([[h, h], [h, -h]])
+    want = [0] * 65
+    for j in range(33):
+        want[2 * j] = comb(32, j) * (-64) ** j
+    got = charpoly_int(h.tolist())
+    assert got == want and got[-1] == 2 ** 192
+
+
+def test_kernel_splits_large_stacks(monkeypatch):
+    import digraphwalk.spectra as spectra
+
+    stack = np.random.default_rng(5).integers(0, 2, size=(40, 9, 9))
+    whole = spectra.charpoly_batch(stack)
+    monkeypatch.setattr(spectra, "_KERNEL_ENTRIES", 200)
+    assert spectra.charpoly_batch(stack) == whole
+
+
+def test_kernel_falls_back_beyond_the_prime_list(monkeypatch):
+    import digraphwalk.spectra as spectra
+
+    reference = spectra.berkowitz_charpoly
+    rng = np.random.default_rng(7)
+    stack = rng.integers(-(2 ** 62), 2 ** 62, size=(2, 6, 6))
+    assert spectra._prime_count(6, 2 ** 124) is None
+    want = [reference([[int(x) for x in row] for row in m], 1, 0) for m in stack.tolist()]
+    calls = []
+    monkeypatch.setattr(spectra, "berkowitz_charpoly",
+                        lambda *a: calls.append(1) or reference(*a))
+    assert spectra.charpoly_batch(stack) == want
+    assert len(calls) == 2
+    # entries beyond int64 take the same route
+    big = [[2 ** 70, 1], [3, -(2 ** 65)]]
+    assert charpoly_int(big) == reference(big, 1, 0)
+
+
+def test_kernel_pair_stack_matches_cyclotomic_route():
+    from digraphwalk.spectra import berkowitz_charpoly, charpoly_batch
+
+    for m, t in ((4, 0), (6, 1)):
+        one, zero = CycScalar.rational(1, m), CycScalar.rational(0, m)
+        rng = np.random.default_rng(m)
+        for n in (1, 3, 7):
+            upper = rng.integers(-3, 4, size=(n, n, 2))
+            pairs = np.zeros((n, n, 2), dtype=np.int64)
+            for i in range(n):
+                pairs[i, i] = (upper[i, i, 0], 0)
+                for j in range(i + 1, n):
+                    a, b = upper[i, j]
+                    pairs[i, j] = (a, b)
+                    pairs[j, i] = (a + t * b, -b)   # conj(zeta) = t - zeta
+            rows = [[CycScalar(m, tuple(int(x) for x in pairs[i, j])) for j in range(n)]
+                    for i in range(n)]
+            want = [int(c.rational_value()) for c in berkowitz_charpoly(rows, one, zero)]
+            assert charpoly_batch(pairs[None], m) == [want]
+
+
+def test_kernel_rejects_non_hermitian_pairs():
+    from digraphwalk.spectra import charpoly_batch
+
+    pairs = np.zeros((1, 2, 2, 2), dtype=np.int64)
+    pairs[0, 0, 1] = (0, 1)      # zeta above the diagonal
+    pairs[0, 1, 0] = (0, 1)      # zeta again below it, not its conjugate
+    with pytest.raises(ArithmeticError):
+        charpoly_batch(pairs, 4)

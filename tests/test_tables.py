@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from digraphwalk.cyclotomic import Angle
+from digraphwalk.cyclotomic import Angle, CycScalar
 from digraphwalk.digraph import PreconditionError, complete_digraph, make_Y
 from digraphwalk.tables import (
     PUBLISHED_CELLS,
@@ -146,3 +146,100 @@ def test_checkpoint_without_key_format_rejected(tmp_path):
     (run / "meta.json").write_text("{")
     with pytest.raises(PreconditionError, match="unreadable"):
         classify(2, "A", None, chunk=16, checkpoint=run)
+
+
+# -- kernel keys against the exact Python routes -------------------------------------
+
+
+def _reference_key(g, functor, eta):
+    """Key of functor(g) from berkowitz_charpoly over Python ints, or over
+    cyclotomic scalars for the quadratic-field Hermitian matrices."""
+    from digraphwalk.operators import build_H_eta
+    from digraphwalk.spectra import berkowitz_charpoly
+    from digraphwalk.supports import power_support
+
+    n = g.n
+    if functor == "A":
+        rows = [[int((i, j) in g.arcs) for j in range(n)] for i in range(n)]
+    elif functor == "U2plus":
+        if not g.arcs:
+            return None
+        rows = power_support(g, eta, 2, "+").rows()
+    elif eta.order == 2:
+        sign = 1 if eta.p == 0 else -1
+        rows = [[(1 if (y, x) in g.arcs else sign) if (x, y) in g.arcs
+                 else (sign if (y, x) in g.arcs else 0) for y in range(n)] for x in range(n)]
+    else:
+        one, zero = CycScalar.rational(1, eta.order), CycScalar.rational(0, eta.order)
+        coeffs = berkowitz_charpoly([list(r) for r in build_H_eta(g, eta).data], one, zero)
+        return ";".join(str(c.rational_value()) for c in coeffs).encode()
+    return ";".join(str(c) for c in berkowitz_charpoly(rows, 1, 0)).encode()
+
+
+def test_kernel_keys_equal_python_reference_orders_two_to_four():
+    import numpy as np
+
+    from digraphwalk.enumeration import code_value_to_digraph, enumerate_digraph_codes
+    from digraphwalk.tables import _adjacency_stack, _classing_keys
+
+    cases = [(functor if functor != "H" else "Heta", eta)
+             for functor, eta in STANDARD_TABLES.values()]
+    cases += [("Heta", Angle(0, 1)), ("Heta", Angle(1, 1))]
+    for order in (2, 3, 4):
+        codes = np.concatenate(list(enumerate_digraph_codes(order)))
+        graphs = [code_value_to_digraph(order, v) for v in codes.tolist()]
+        for functor, eta in cases:
+            keys = _classing_keys(_adjacency_stack(order, codes), functor, eta)
+            want = [_reference_key(g, functor, eta) for g in graphs]
+            assert keys == want, (order, functor, eta)
+            assert [classing_key(g, functor, eta) for g in graphs[::7]] == want[::7]
+
+
+# -- parallel split and checkpoint checksum --------------------------------------------
+
+
+def test_jobs_split_a_single_partition(monkeypatch):
+    import digraphwalk.tables as tables
+
+    serial = classify(4, "A")
+    assert classify(4, "A", jobs=2) == serial
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            self.workers = workers
+
+        def imap(self, fn, tasks):
+            seen.extend(tasks)
+            return map(fn, tasks)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(tables.mp, "Pool", RecordingPool)
+    assert classify(4, "A", jobs=2) == serial
+    assert len(seen) >= 2 and len({task[3] for task in seen}) == len(seen)
+
+
+def test_checkpoint_of_jobs_two_resumes_with_jobs_one(tmp_path):
+    serial = classify(4, "U2plus", Angle(1, 2))
+    two, one = tmp_path / "two", tmp_path / "one"
+    assert classify(4, "U2plus", Angle(1, 2), jobs=2, checkpoint=two) == serial
+    assert classify(4, "U2plus", Angle(1, 2), checkpoint=one) == serial
+    assert (two / "meta.json").read_text() == (one / "meta.json").read_text()
+    assert (two / "part-000000.bin").read_bytes() == (one / "part-000000.bin").read_bytes()
+    assert classify(4, "U2plus", Angle(1, 2), checkpoint=two) == serial
+
+
+def test_checkpoint_checksum_catches_a_flipped_key_byte(tmp_path):
+    run = tmp_path / "run"
+    classify(3, "A", None, checkpoint=run)
+    part = run / "part-000000.bin"
+    data = bytearray(part.read_bytes())
+    data[16 + 4] ^= 0x01          # first byte of the first key: "1" becomes "0"
+    part.write_bytes(bytes(data))
+    with pytest.raises(PreconditionError, match="partition 0.*checksum"):
+        classify(3, "A", None, checkpoint=run)
