@@ -72,11 +72,6 @@ class Angle:
     def is_zero(self) -> bool:
         return self.p == 0
 
-    def as_float(self) -> float:
-        import math
-
-        return math.pi * self.p / self.q
-
     def __str__(self):
         return f"{self.p}/{self.q}*pi"
 

@@ -32,9 +32,6 @@ class Digraph:
     def of(n: int, arcs) -> "Digraph":
         return Digraph(n, frozenset(tuple(a) for a in arcs))
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 

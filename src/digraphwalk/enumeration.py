@@ -1,16 +1,28 @@
 """Isomorph-free generation of small digraphs.
 
-Digraphs on n vertices are encoded as base-4 digit strings over the ordered
-vertex pairs; a digraph is kept iff its code equals the minimum over all
-vertex relabelings, so exactly one representative per isomorphism class
-survives.  The filter runs vectorized: each permutation acts on code
-vectors as a position shuffle plus an orientation swap on flipped pairs,
-and candidates are rejected in stages as soon as any image is smaller.
+Every generator here runs one vectorized engine, ``orbit_minimal_values``:
+a group acts on fixed-length base-2 or base-4 digit strings by a position
+shuffle plus, on flipped positions, a digit swap, and a string is kept iff
+its value is the minimum over its orbit, so exactly one representative per
+orbit survives (isomorph-free generation by canonical orbit
+representatives, McKay 1998, J. Algorithms 26).  Candidates are compared
+with one group element at a time, dropped at the first smaller image, and
+compacted, so later elements see only the survivors.  Three uses:
 
-The same engine, over a base-3 alphabet on a fixed edge set, enumerates the
-orientation assignments (digon / forward / backward) of one underlying
-graph up to its automorphisms; that is how the regular-digraph sweeps are
-generated without walking the full assignment space.
+- digraphs of order n: base-4 codes over the vertex pairs (none, (i,j),
+  (j,i), digon) under S_n, the swap exchanging (i,j) and (j,i);
+- undirected graphs (the bases): base-2 edge masks under S_n, swap-free;
+- the orientations of one base G, in two levels.  A digraph with
+  underlying graph G is a digon set D within the edge set E plus a
+  direction on every other edge, and its isomorphism class is its orbit
+  under Aut(G).  The first pass keeps the digon masks D minimal under
+  Aut(G) (swap-free).  Two digraphs of one class have digon sets in one
+  Aut(G)-orbit, hence the same minimal D, and every automorphism carrying
+  one to the other fixes D: the classes with digon set D are the orbits of
+  the stabilizer Aut(G)_D on the direction bits of E minus D.  For each
+  minimal D, its stabilizer is read off the automorphisms' edge actions in
+  one comparison, and a second base-2 pass keeps the direction strings
+  minimal under it, an element that reverses an edge flipping its bit.
 """
 
 from __future__ import annotations
@@ -23,8 +35,9 @@ from .digraph import Digraph, PreconditionError, from_compact_code, is_graph, pa
 
 DIGRAPH_CLASS_COUNTS = {2: 3, 3: 16, 4: 218, 5: 9608, 6: 1540944}
 
-_SWAP4 = np.array([0, 2, 1, 3], dtype=np.uint8)   # exchange (i,j) <-> (j,i)
-_SWAP3 = np.array([0, 2, 1], dtype=np.uint8)      # digon fixed, orientation flipped
+# digit swaps under a relabeling that reverses a pair: base 4 exchanges
+# (i,j) <-> (j,i) and keeps none and digon; base 2 reverses a one-way edge
+_SWAP = {4: np.array([0, 2, 1, 3], dtype=np.uint8), 2: np.array([1, 0], dtype=np.uint8)}
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -73,49 +86,53 @@ def edge_permutation_action(edges: list[tuple[int, int]], perm) -> tuple[np.ndar
     return src, swap
 
 
-def _decode_digits(values: np.ndarray, positions: int, base: int) -> np.ndarray:
-    out = np.empty((values.size, positions), dtype=np.uint8)
-    if base == 4:
-        for k in range(positions):
-            out[:, k] = (values >> (2 * (positions - 1 - k))) & 3
-    else:
-        rest = values.copy()
-        for k in range(positions - 1, -1, -1):
-            rest, digit = np.divmod(rest, base)
-            out[:, k] = digit
+def _decode_digits(values: np.ndarray, positions: int, width: int) -> np.ndarray:
+    """(positions, N) digits of ``width`` bits each, most significant first."""
+    out = np.empty((positions, values.size), dtype=np.uint8)
+    for k in range(positions):
+        out[k] = (values >> (width * (positions - 1 - k))) & ((1 << width) - 1)
     return out
 
 
-def orbit_minimal_values(total: int, positions: int, base: int, actions,
+def orbit_minimal_values(positions: int, base: int, actions, candidates=None,
                          chunk: int = 1 << 22, start: int = 0, stop: int | None = None,
                          step: int = 1):
-    """Yield arrays of code values equal to the minimum over their orbit.
+    """Yield arrays of the candidate values that equal the minimum of their orbit.
 
-    The candidates are start, start + step, ... below stop, ``chunk`` at a
-    time.  ``actions`` are the non-identity (src, swap) position actions of
-    the group; rejection is staged so most candidates die on an early action."""
-    stop = total if stop is None else stop
-    swap_lut = _SWAP4 if base == 4 else _SWAP3
-    for lo in range(start, stop, chunk * step):
-        vals = np.arange(lo, min(lo + chunk * step, stop), step, dtype=np.int64)
-        digits = _decode_digits(vals, positions, base)
-        alive = np.ones(vals.size, dtype=bool)
-        for src, swap in actions:
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
+    A value is ``positions`` digits in ``base`` 2 or 4, most significant
+    first.  ``actions`` are the non-identity (src, swap) position actions of
+    the group: digit k of the image is digit src[k] of the value, passed
+    through the base's digit swap where swap[k].  The candidates are the
+    array ``candidates`` if given, else start, start + step, ... below stop
+    (default base**positions), ``chunk`` at a time.  A candidate dies at the
+    first action with a smaller image, and the survivors are compacted, so
+    each action scans only those left."""
+    width = base.bit_length() - 1
+    lut = _SWAP[base]
+    acts = [(src.tolist(), swap.tolist()) for src, swap in actions]
+    if candidates is None:
+        stop = base ** positions if stop is None else stop
+        blocks = (np.arange(lo, min(lo + chunk * step, stop), step, dtype=np.int64)
+                  for lo in range(start, stop, chunk * step))
+    else:
+        candidates = np.asarray(candidates, dtype=np.int64)
+        blocks = (candidates[lo:lo + chunk] for lo in range(0, candidates.size, chunk))
+    for vals in blocks:
+        digits = _decode_digits(vals, positions, width)
+        for src, swap in acts:
+            if vals.size == 0:
                 break
-            sub = digits[idx][:, src]
-            if swap.any():
-                cols = np.flatnonzero(swap)
-                sub[:, cols] = swap_lut[sub[:, cols]]
-            # Horner, one column at a time: images are < 4^15, so int64 is
-            # exact, and no int64 copy of the whole digit block is made
-            image = sub[:, 0].astype(np.int64)
-            for k in range(1, positions):
-                image *= base
-                image += sub[:, k]
-            alive[idx] = image >= vals[idx]
-        yield vals[alive]
+            # Horner over the digit rows; values have at most 30 bits (order-6
+            # codes), so int64 is exact
+            image = np.zeros(vals.size, dtype=np.int64)
+            for s, flip in zip(src, swap):
+                image <<= width
+                image |= lut[digits[s]] if flip else digits[s]
+            keep = image >= vals
+            if not keep.all():
+                vals = vals[keep]
+                digits = digits[:, keep]
+        yield vals
 
 
 def _digraph_actions(n: int):
@@ -130,8 +147,7 @@ def enumerate_digraph_codes(n: int, chunk: int = 1 << 22,
     if not 2 <= n <= 6:
         raise PreconditionError(f"enumeration supports orders 2..6, got {n}")
     positions = n * (n - 1) // 2
-    yield from orbit_minimal_values(4 ** positions, positions, 4,
-                                    _digraph_actions(n), chunk=chunk,
+    yield from orbit_minimal_values(positions, 4, _digraph_actions(n), chunk=chunk,
                                     start=start, stop=stop, step=step)
 
 
@@ -176,7 +192,7 @@ def canonical_code(g: Digraph) -> str:
         a, b = inv[i], inv[j]
         if a < b:
             return digits[idx[(a, b)]]
-        return int(_SWAP4[digits[idx[(b, a)]]])
+        return int(_SWAP[4][digits[idx[(b, a)]]])
 
     best: list[int] | None = None
     for perm in permutations(range(n)):
@@ -221,102 +237,103 @@ def automorphisms(edges: list[tuple[int, int]], n: int):
     return out
 
 
-def _mask_to_undirected(n: int, pairs, bits) -> Digraph:
-    arcs = set()
-    for (i, j), b in zip(pairs, bits):
-        if b:
-            arcs.add((i, j))
-            arcs.add((j, i))
-    return Digraph(n, frozenset(arcs))
+def _regular_masks(n: int, degree: int) -> np.ndarray:
+    """Ascending edge masks over the pair order with every degree equal."""
+    pairs = pair_order(n)
+    incident = [[k for k, pr in enumerate(pairs) if v in pr] for v in range(n)]
+    chunk = 1 << 20
+    out = []
+    for lo in range(0, 1 << len(pairs), chunk):
+        vals = np.arange(lo, min(lo + chunk, 1 << len(pairs)), dtype=np.int64)
+        bits = _decode_digits(vals, len(pairs), 1)
+        ok = np.ones(vals.size, dtype=bool)
+        for ks in incident:
+            ok &= bits[ks].sum(axis=0) == degree
+        out.append(vals[ok])
+    return np.concatenate(out)
 
 
 def enumerate_undirected_graphs(n: int, degree: int | None = None) -> list[Digraph]:
     """Undirected graphs (all-digon digraphs) on n vertices up to isomorphism,
     optionally restricted to a fixed common degree.
 
-    The degree-restricted path filters the labeled masks vectorized first;
-    the survivors are few, so per-graph canonical dedup is cheap."""
+    The edge masks over the pair order that are minimal under S_n, one per
+    class; with ``degree`` only the masks of that degree are candidates,
+    which is exact because relabeling keeps the degrees."""
     if n > 8:
         raise PreconditionError("undirected enumeration supported up to 8 vertices")
-    pairs = pair_order(n)
-    positions = len(pairs)
-    if degree is None:
-        if n > 6:
-            raise PreconditionError("unrestricted undirected enumeration capped at 6 vertices")
-        reps: list[Digraph] = []
-        seen: set[str] = set()
-        for mask in range(2 ** positions):
-            bits = [(mask >> (positions - 1 - k)) & 1 for k in range(positions)]
-            g = _mask_to_undirected(n, pairs, bits)
-            code = canonical_code(g)
-            if code not in seen:
-                seen.add(code)
-                reps.append(g)
-        return reps
-    if n * degree % 2:
+    if degree is None and n > 6:
+        raise PreconditionError("unrestricted undirected enumeration capped at 6 vertices")
+    if degree is not None and n * degree % 2:
         return []
-    incidence = np.zeros((positions, n), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        incidence[k, i] = incidence[k, j] = 1
-    shifts = np.array([positions - 1 - k for k in range(positions)], dtype=np.int64)
-    reps = []
-    seen = set()
-    chunk = 1 << 20
-    for lo in range(0, 2 ** positions, chunk):
-        vals = np.arange(lo, min(lo + chunk, 2 ** positions), dtype=np.int64)
-        bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        degs = bits.astype(np.int64) @ incidence
-        keep = np.flatnonzero((degs == degree).all(axis=1))
-        for row in keep:
-            g = _mask_to_undirected(n, pairs, bits[row].tolist())
-            code = canonical_code(g)
-            if code not in seen:
-                seen.add(code)
-                reps.append(g)
-    return reps
+    pairs = pair_order(n)
+    actions = [(src, np.zeros_like(swap)) for src, swap in _digraph_actions(n)]
+    candidates = None if degree is None else _regular_masks(n, degree)
+    return [Digraph(n, frozenset(arc for (i, j), bit in zip(pairs, bits) if bit
+                                 for arc in ((i, j), (j, i))))
+            for block in orbit_minimal_values(len(pairs), 2, actions, candidates)
+            for bits in _decode_digits(block, len(pairs), 1).T.tolist()]
 
 
-def orientations_up_to_iso(underlying: Digraph, chunk: int = 1 << 22):
-    """All digraphs with the given (all-digon) underlying graph, one per
-    isomorphism class: every edge becomes a digon, a forward or a backward arc."""
+def _distinct_actions(srcs: np.ndarray, swaps: np.ndarray):
+    """The distinct non-identity rows of an (actions, positions) source and
+    swap array, in first-seen order, as (src, swap) pairs."""
+    if srcs.shape[1] == 0:
+        return []
+    rows = np.concatenate([srcs, swaps], axis=1)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    identity = np.arange(srcs.shape[1])
+    return [(srcs[i], swaps[i]) for i in sorted(first.tolist())
+            if not ((srcs[i] == identity).all() and not swaps[i].any())]
+
+
+def digon_set_orientations(underlying: Digraph):
+    """The digraphs with the given (all-digon) underlying graph G, one per
+    isomorphism class, grouped by digon set: yields (digons, digraphs) for
+    one digon set D per Aut(G)-orbit, D as sorted (i, j) edges with i < j,
+    and the classes with that digon set (module docstring: digon masks
+    minimal under Aut(G), then direction strings minimal under the
+    stabilizer of D; bit 1 points an edge from its larger vertex)."""
     if not is_graph(underlying):
         raise PreconditionError("orientation base must be an undirected (all-digon) digraph")
+    n = underlying.n
     edges = sorted({(min(u, v), max(u, v)) for u, v in underlying.arcs})
-    if not edges:
-        yield underlying
-        return
-    auts = automorphisms(edges, underlying.n)
-    actions = []
-    for perm in auts:
-        if perm == tuple(range(underlying.n)):
-            continue
-        act = edge_permutation_action(edges, perm)
-        if act is not None:
-            actions.append(act)
     m = len(edges)
-    for block in orbit_minimal_values(3 ** m, m, 3, actions, chunk=chunk):
-        for value in block.tolist():
-            digits = []
-            rest = int(value)
-            for _ in range(m):
-                rest, d = divmod(rest, 3)
-                digits.append(d)
-            digits.reverse()
-            arcs = set()
-            for (i, j), d in zip(edges, digits):
-                if d == 0:
-                    arcs.add((i, j))
-                    arcs.add((j, i))
-                elif d == 1:
-                    arcs.add((i, j))
-                else:
-                    arcs.add((j, i))
-            yield Digraph(underlying.n, frozenset(arcs))
+    if not m:
+        yield (), [underlying]
+        return
+    acts = [edge_permutation_action(edges, perm) for perm in automorphisms(edges, n)]
+    srcs = np.array([src for src, _ in acts], dtype=np.int64).reshape(-1, m)
+    swaps = np.array([swap for _, swap in acts], dtype=bool).reshape(-1, m)
+    for block in orbit_minimal_values(m, 2, _distinct_actions(srcs, np.zeros_like(swaps))):
+        for is_digon in _decode_digits(block, m, 1).T.astype(bool):
+            stab = (is_digon[srcs] == is_digon).all(axis=1)
+            one_way = np.flatnonzero(~is_digon)
+            slot = np.zeros(m, dtype=np.int64)
+            slot[one_way] = np.arange(one_way.size)
+            directions = np.concatenate(list(orbit_minimal_values(
+                one_way.size, 2,
+                _distinct_actions(slot[srcs[stab][:, one_way]], swaps[stab][:, one_way]))))
+            digon_edges = tuple(e for e, d in zip(edges, is_digon) if d)
+            digon_arcs = [arc for i, j in digon_edges for arc in ((i, j), (j, i))]
+            free = [edges[k] for k in one_way.tolist()]
+            yield digon_edges, [
+                Digraph(n, frozenset(digon_arcs + [(j, i) if back else (i, j)
+                                                   for (i, j), back in zip(free, bits)]))
+                for bits in _decode_digits(directions, len(free), 1).T.tolist()]
 
 
-def enumerate_regular_digraphs(n: int, k: int, chunk: int = 1 << 22):
+def orientations_up_to_iso(underlying: Digraph):
+    """All digraphs with the given (all-digon) underlying graph, one per
+    isomorphism class: every edge becomes a digon, a forward or a backward
+    arc.  See digon_set_orientations for the two-level scheme."""
+    for _, digraphs in digon_set_orientations(underlying):
+        yield from digraphs
+
+
+def enumerate_regular_digraphs(n: int, k: int):
     """k-regular digraphs on n vertices up to isomorphism (underlying degree k)."""
     if n * k % 2:
         return
     for base in enumerate_undirected_graphs(n, degree=k):
-        yield from orientations_up_to_iso(base, chunk=chunk)
+        yield from orientations_up_to_iso(base)

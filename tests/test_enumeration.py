@@ -3,11 +3,21 @@ import random
 
 import pytest
 
-from digraphwalk.digraph import Digraph, PreconditionError, compact_code, from_compact_code, is_regular, make_Y
+from digraphwalk.digraph import (
+    Digraph,
+    PreconditionError,
+    compact_code,
+    digons,
+    from_compact_code,
+    is_regular,
+    make_Y,
+    underlying,
+)
 from digraphwalk.enumeration import (
     DIGRAPH_CLASS_COUNTS,
     automorphisms,
     canonical_code,
+    digon_set_orientations,
     enumerate_digraph_codes,
     enumerate_digraphs,
     enumerate_regular_digraphs,
@@ -137,13 +147,95 @@ def test_undirected_regular_counts():
 
 
 def test_undirected_unrestricted_small():
-    # 2 graphs on 2 vertices, 4 on 3 vertices, 11 on 4 vertices
+    # 2 graphs on 2 vertices, 4 on 3, 11 on 4, 34 on 5, 156 on 6
     assert len(enumerate_undirected_graphs(2)) == 2
     assert len(enumerate_undirected_graphs(3)) == 4
     assert len(enumerate_undirected_graphs(4)) == 11
+    assert len(enumerate_undirected_graphs(5)) == 34
+    assert len(enumerate_undirected_graphs(6)) == 156
 
 
 def test_codes_round_trip_through_digraphs():
     for n in (2, 3):
         for g in enumerate_digraphs(n):
             assert from_compact_code(compact_code(g), n) == g
+
+
+def _edges(base: Digraph):
+    return sorted({(min(u, v), max(u, v)) for u, v in base.arcs})
+
+
+def burnside_orientation_count(base: Digraph) -> int:
+    """Orientation classes of a base by Burnside's lemma: the mean over its
+    automorphisms of the product over edge cycles of 3, or of 1 when the
+    cycle brings its edge back reversed (only the digon is then fixed)."""
+    edges = _edges(base)
+    eset = set(edges)
+    total = group = 0
+    for p in itertools.permutations(range(base.n)):
+        if {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges} != eset:
+            continue
+        group += 1
+        fixed, seen = 1, set()
+        for e in edges:
+            if e in seen:
+                continue
+            u, v = e
+            while True:
+                seen.add((min(u, v), max(u, v)))
+                u, v = p[u], p[v]
+                if (min(u, v), max(u, v)) == e:
+                    break
+            fixed *= 3 if (u, v) == e else 1
+        total += fixed
+    assert total % group == 0
+    return total // group
+
+
+def _bases():
+    for n in (2, 3, 4, 5):
+        yield from enumerate_undirected_graphs(n)
+    for k in range(6):
+        yield from enumerate_undirected_graphs(6, degree=k)
+
+
+def test_orientation_counts_match_burnside():
+    for base in _bases():
+        count = sum(1 for _ in orientations_up_to_iso(base))
+        assert count == burnside_orientation_count(base), _edges(base)
+
+
+def test_orientations_over_all_bases_give_every_digraph():
+    for n in (2, 3, 4, 5):
+        total = sum(sum(1 for _ in orientations_up_to_iso(base))
+                    for base in enumerate_undirected_graphs(n))
+        assert total == DIGRAPH_CLASS_COUNTS[n]
+
+
+def test_orientation_codes_match_bruteforce_up_to_order_four():
+    for n in (2, 3, 4):
+        for base in enumerate_undirected_graphs(n):
+            edges = _edges(base)
+            seen = set()
+            for assign in itertools.product((0, 1, 2), repeat=len(edges)):
+                arcs = set()
+                for (i, j), d in zip(edges, assign):
+                    if d in (0, 1):
+                        arcs.add((i, j))
+                    if d in (0, 2):
+                        arcs.add((j, i))
+                seen.add(canonical_code(Digraph.of(n, arcs)))
+            codes = [canonical_code(g) for g in orientations_up_to_iso(base)]
+            assert len(codes) == len(set(codes)) and set(codes) == seen, edges
+
+
+def test_digon_set_representatives_carry_their_digon_set():
+    for base in _bases():
+        sets = []
+        for digon_edges, gs in digon_set_orientations(base):
+            sets.append(digon_edges)
+            assert gs
+            for g in gs:
+                assert underlying(g) == base
+                assert digons(g) == set(digon_edges)
+        assert len(sets) == len(set(sets))

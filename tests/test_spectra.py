@@ -244,6 +244,20 @@ def test_kernel_matches_python_berkowitz_on_random_stacks():
             assert charpoly_batch(stack) == want, n
 
 
+def test_one_matrix_charpoly_equals_kernel_on_both_routes():
+    # small one-matrix calls take the Python-int route, larger ones the kernel
+    from digraphwalk.spectra import charpoly_batch
+
+    rng = np.random.default_rng(16)
+    for n in range(1, 17):
+        for m in (rng.choice([-1, 1], size=(n, n)), rng.integers(-5, 6, size=(n, n)),
+                  rng.integers(0, 2, size=(n, n)).astype(bool)):
+            want = charpoly_batch(m[None])[0]
+            for rows in (m, m.tolist()):
+                got = charpoly_int(rows)
+                assert got == want and all(type(c) is int for c in got), n
+
+
 def test_kernel_sylvester_hadamard_64():
     # H^2 = 64 I and trace 0, so the charpoly is (x^2 - 64)^32; det = 2^192
     # needs several primes, which only the derived count supplies
