@@ -5,10 +5,11 @@ chosen matrix functor: the 0/1 adjacency matrix, the eta-Hermitian
 adjacency matrix, or the positive support of the squared transfer matrix
 (the arcless digraph is excluded for the latter, which needs an arc space).
 Class counts are split by whether class members are graphs (every arc in a
-digon) or proper digraphs.  One pipeline serves every order: the code space
-is cut into partitions, each is keyed (on worker processes if asked) and
-optionally checkpointed to disk, and the partitions are merged; the
-checkpoints make the order-6 run resumable.
+digon) or proper digraphs.  One pipeline serves every order: each base
+(underlying graph) is one partition, the adjacency stack of its
+orientations is keyed (on worker processes if asked) and optionally
+checkpointed to disk, and the partitions are merged; the checkpoints make
+the order-6 run resumable.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ import struct
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import itemgetter
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .cyclotomic import Angle, make_root
-from .digraph import Digraph, PreconditionError, pair_order
-from .enumeration import enumerate_digraph_codes
+from .digraph import Digraph, PreconditionError
+from .enumeration import DIGRAPH_CLASS_COUNTS, enumerate_undirected_graphs, orientation_stack
 from .operators import build_H_eta
 from .spectra import charpoly_batch, charpoly_exact, cospectral_key
 from .supports import power_support, sign_data_power
@@ -37,17 +38,6 @@ FUNCTORS = ("A", "H", "Heta", "U2plus")
 
 def _int_key(coeffs) -> bytes:
     return ";".join(str(v) for v in coeffs).encode()
-
-
-def _adjacency_stack(order: int, values: np.ndarray) -> np.ndarray:
-    """(B, n, n) 0/1 adjacency matrices of the digraphs with these code values."""
-    pairs = pair_order(order)
-    adj = np.zeros((len(values), order, order), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        digit = (values >> (2 * (len(pairs) - 1 - k))) & 3
-        adj[:, i, j] = digit & 1
-        adj[:, j, i] = digit >> 1
-    return adj
 
 
 def _digraph(adj: np.ndarray) -> Digraph:
@@ -180,19 +170,22 @@ def _table_from_classes(order, functor, eta, n_total, n_excluded, classes) -> Co
 _KEY_BLOCK = 1 << 11
 
 
+@lru_cache(maxsize=None)
+def _bases(order: int) -> tuple[Digraph, ...]:
+    """The underlying graphs of one order, the partitions of classify."""
+    return tuple(enumerate_undirected_graphs(order))
+
+
 def _key_partition(task):
     """(digraphs, excluded, {key: [class size, graphs in class]}) for the
-    canonical codes among lo, lo + step, ... below hi;
-    task = (order, functor, eta, lo, hi, step)."""
-    order, functor, eta, lo, hi, step = task
-    # run the enumeration to its end first, so that its work arrays are
-    # freed before the keying builds its own
-    codes = np.concatenate(list(enumerate_digraph_codes(
-        order, chunk=hi - lo, start=lo, stop=hi, step=step)))
+    orientations of one base; task = (order, functor, eta, index of the base
+    in _bases(order))."""
+    order, functor, eta, base = task
+    stack = orientation_stack(_bases(order)[base])
     classes: dict = {}
     n_excluded = 0
-    for first in range(0, len(codes), _KEY_BLOCK):
-        adj = _adjacency_stack(order, codes[first:first + _KEY_BLOCK])
+    for first in range(0, len(stack), _KEY_BLOCK):
+        adj = stack[first:first + _KEY_BLOCK]
         graphs = (adj == np.swapaxes(adj, 1, 2)).all(axis=(1, 2)).tolist()
         for key, graph in zip(_classing_keys(adj, functor, eta), graphs):
             if key is None:
@@ -201,7 +194,7 @@ def _key_partition(task):
             slot = classes.setdefault(key, [0, 0])
             slot[0] += 1
             slot[1] += graph
-    return len(codes), n_excluded, classes
+    return len(stack), n_excluded, classes
 
 
 def _fold(results):
@@ -219,53 +212,42 @@ def _fold(results):
 
 
 def _keyed_partitions(todo: dict, jobs: int, ckdir: Path | None):
-    """Key each partition of ``todo`` (index -> (order, functor, eta, lo, hi))
-    once, on a pool of ``jobs`` workers when there is more than one, and
-    write it to the checkpoint directory if there is one.
-
-    With fewer partitions than workers, each partition's range is keyed as
-    ``jobs`` interleaved sub-ranges (lo + i, lo + i + jobs, ...) folded back
-    into the one partition record: canonical codes crowd the low end of the
-    code space, so contiguous sub-ranges would leave all but one worker idle."""
-    pieces = jobs if len(todo) < jobs else 1
-    subtasks = [(part, (order, functor, eta, lo + i, hi, pieces))
-                for part, (order, functor, eta, lo, hi) in todo.items()
-                for i in range(min(pieces, hi - lo))]
-    tasks = [task for _, task in subtasks]
-    if jobs > 1 and len(tasks) > 1:
+    """Key each partition of ``todo`` (index -> task) once, on a pool of
+    ``jobs`` workers when there is more than one, and write it to the
+    checkpoint directory if there is one."""
+    if jobs > 1 and len(todo) > 1:
         # the platform's default start method: "spawn" would re-import the
         # caller's __main__ in every worker, which fails (and respawns
         # without end) for scripts read from stdin
-        pool = mp.Pool(min(jobs, len(tasks)))
-        keyed = pool.imap(_key_partition, tasks)
+        pool = mp.Pool(min(jobs, len(todo)))
+        keyed = pool.imap(_key_partition, todo.values())
     else:
         pool = nullcontext()
-        keyed = map(_key_partition, tasks)
+        keyed = map(_key_partition, todo.values())
     with pool:
-        for part, group in groupby(zip((part for part, _ in subtasks), keyed), key=itemgetter(0)):
-            result = _fold(r for _, r in group)
+        for part, result in zip(todo, keyed):
             if ckdir is not None:
                 _write_partition(ckdir, part, result)
             yield result
 
 
-def classify(order: int, functor: str, eta: Angle | None = None, chunk: int = 1 << 22,
-             jobs: int = 1, checkpoint: str | Path | None = None) -> CospectralTable:
+def classify(order: int, functor: str, eta: Angle | None = None, jobs: int = 1,
+             checkpoint: str | Path | None = None) -> CospectralTable:
     """Group all digraphs of one order by exact charpoly of the functor.
 
-    The code space is cut into ``chunk``-value partitions, each keyed once:
-    in this process when ``jobs`` is 1, on ``jobs`` worker processes
-    otherwise.  With a ``checkpoint`` directory every keyed partition is
-    written there and partitions already there are read back instead, so an
-    interrupted run resumes where it stopped.  The result depends on none of
-    chunk, jobs and the resume point."""
-    space = 4 ** (order * (order - 1) // 2)
-    todo = {part: (order, functor, eta, lo, min(lo + chunk, space))
-            for part, lo in enumerate(range(0, space, chunk))}
+    Each base (underlying graph) of the order is one partition, its
+    orientations keyed once: in this process when ``jobs`` is 1, on ``jobs``
+    worker processes otherwise.  With a ``checkpoint`` directory every keyed
+    partition is written there and partitions already there are read back
+    instead, so an interrupted run resumes where it stopped.  The result
+    depends on neither jobs nor the resume point."""
+    if order not in DIGRAPH_CLASS_COUNTS:
+        raise PreconditionError(f"classing supports orders 2..6, got {order}")
+    todo = {base: (order, functor, eta, base) for base in range(len(_bases(order)))}
     ckdir = None if checkpoint is None else Path(checkpoint)
     stored: list[int] = []
     if ckdir is not None:
-        _open_checkpoint(ckdir, order, functor, eta, chunk, len(todo))
+        _open_checkpoint(ckdir, order, functor, eta, len(todo))
         stored = [part for part in todo if _partition_path(ckdir, part).exists()]
         for part in stored:
             del todo[part]
@@ -386,17 +368,18 @@ def emit_table(tables, fmt: str = "markdown") -> str:
 # Version of the checkpoint format; raise it whenever a key for the same
 # digraph or the layout of a partition file changes, so that partitions
 # written under the old format are refused.  2: a CRC32 ends each partition.
-KEY_FORMAT = 2
+# 3: one partition per base.
+KEY_FORMAT = 3
 
 
-def _open_checkpoint(ckdir: Path, order, functor, eta, chunk, n_parts):
+def _open_checkpoint(ckdir: Path, order, functor, eta, n_parts):
     """Create the directory, or refuse it when its meta.json records another run."""
     ckdir.mkdir(parents=True, exist_ok=True)
     meta_path = ckdir / "meta.json"
     meta = {
         "order": order, "functor": functor,
         "eta": str(eta) if eta else None,
-        "chunk": chunk, "partitions": n_parts,
+        "partitions": n_parts,
         "key_format": KEY_FORMAT,
     }
     if meta_path.exists():

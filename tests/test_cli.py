@@ -136,6 +136,19 @@ def test_tables_checkpoint_of_other_run_is_one_line_error(capsys, tmp_path):
     assert "different run" in err and len(err.strip().splitlines()) == 1
 
 
+def test_tables_checkpoint_of_older_key_format_is_one_line_error(capsys, tmp_path):
+    run_dir = tmp_path / "ck" / "A" / "order-3"
+    run_dir.mkdir(parents=True)
+    # meta.json as written under KEY_FORMAT 2, which cut the code space into chunks
+    (run_dir / "meta.json").write_text(json.dumps({
+        "order": 3, "functor": "A", "eta": None, "chunk": 1 << 22, "partitions": 1,
+        "key_format": 2}))
+    code, out, err = run(capsys, "tables", "--order", "3", "--table", "A",
+                         "--checkpoint", str(tmp_path / "ck"))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "different run" in err and len(err.strip().splitlines()) == 1
+
+
 def test_tables_mismatch_exit_code(capsys, monkeypatch):
     import digraphwalk.tables as tables_mod
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from digraphwalk.digraph import (
@@ -18,10 +19,10 @@ from digraphwalk.enumeration import (
     automorphisms,
     canonical_code,
     digon_set_orientations,
-    enumerate_digraph_codes,
     enumerate_digraphs,
     enumerate_regular_digraphs,
     enumerate_undirected_graphs,
+    orientation_stack,
     orientations_up_to_iso,
 )
 
@@ -34,24 +35,24 @@ def apply_perm(g: Digraph, perm) -> Digraph:
 
 def test_class_counts_small_orders():
     for n in (2, 3, 4):
-        assert sum(b.size for b in enumerate_digraph_codes(n)) == DIGRAPH_CLASS_COUNTS[n]
+        assert sum(1 for _ in enumerate_digraphs(n)) == DIGRAPH_CLASS_COUNTS[n]
 
 
 def test_order_five_count():
-    assert sum(b.size for b in enumerate_digraph_codes(5)) == DIGRAPH_CLASS_COUNTS[5]
+    assert sum(1 for _ in enumerate_digraphs(5)) == DIGRAPH_CLASS_COUNTS[5]
 
 
 def test_order_range_rejected():
     with pytest.raises(PreconditionError):
-        list(enumerate_digraph_codes(7))
+        list(enumerate_digraphs(7))
     with pytest.raises(PreconditionError):
-        list(enumerate_digraph_codes(1))
+        list(enumerate_digraphs(1))
 
 
 def test_enumerated_representatives_are_canonical():
-    for n in (2, 3):
-        for g in enumerate_digraphs(n):
-            assert compact_code(g) == canonical_code(g)
+    for n in (2, 3, 4, 5):
+        codes = [canonical_code(g) for g in enumerate_digraphs(n)]
+        assert len(set(codes)) == len(codes) == DIGRAPH_CLASS_COUNTS[n]
 
 
 def test_canonical_code_permutation_invariant():
@@ -69,21 +70,6 @@ def test_canonical_code_examples():
     b = Digraph.of(2, [(1, 0)])
     assert canonical_code(a) == canonical_code(b) == "1"
     assert canonical_code(make_Y(2, 3)) != canonical_code(make_Y(1, 3))
-
-
-def test_enumeration_chunking_is_stable():
-    full = [b.tolist() for b in enumerate_digraph_codes(4, chunk=1 << 22)]
-    small = [b.tolist() for b in enumerate_digraph_codes(4, chunk=97)]
-    assert sorted(sum(full, [])) == sorted(sum(small, []))
-
-
-def test_enumeration_strided_candidates_partition_the_codes():
-    full = sum((b.tolist() for b in enumerate_digraph_codes(4)), [])
-    strided = [sum((b.tolist() for b in enumerate_digraph_codes(4, chunk=50, start=i, step=3)), [])
-               for i in range(3)]
-    for i, codes in enumerate(strided):
-        assert codes == sorted(codes) and all(v % 3 == i for v in codes)
-    assert sorted(sum(strided, [])) == full
 
 
 def test_automorphism_groups():
@@ -203,6 +189,21 @@ def test_orientation_counts_match_burnside():
     for base in _bases():
         count = sum(1 for _ in orientations_up_to_iso(base))
         assert count == burnside_orientation_count(base), _edges(base)
+
+
+def test_orientations_of_bases_with_isolated_top_vertices():
+    for base in (Digraph.of(3, [(0, 1), (1, 0)]), Digraph.of(4, [(0, 1), (1, 0)]),
+                 Digraph.of(5, [(0, 1), (1, 0), (1, 2), (2, 1)]), Digraph(4, frozenset())):
+        assert sum(1 for _ in orientations_up_to_iso(base)) == burnside_orientation_count(base)
+
+
+def test_adjacency_stack_rows_equal_the_orientation_digraphs():
+    for base in _bases():
+        stack = orientation_stack(base)
+        digraphs = list(orientations_up_to_iso(base))
+        assert stack.shape == (len(digraphs), base.n, base.n)
+        for adj, g in zip(stack, digraphs):
+            assert {tuple(a) for a in np.argwhere(adj).tolist()} == set(g.arcs)
 
 
 def test_orientations_over_all_bases_give_every_digraph():

@@ -65,12 +65,14 @@ def test_unknown_functor_rejected():
     with pytest.raises(PreconditionError):
         classify(2, "B", None)
     with pytest.raises(PreconditionError):
+        classify(7, "A")
+    with pytest.raises(PreconditionError):
         classing_key(complete_digraph(2), "Heta", None)
 
 
 def test_parallel_classing_matches_serial():
     serial = classify(4, "H", Angle(1, 2))
-    parallel = classify(4, "H", Angle(1, 2), jobs=2, chunk=256)
+    parallel = classify(4, "H", Angle(1, 2), jobs=2)
     assert serial == parallel
 
 
@@ -99,53 +101,55 @@ def test_emit_empty_is_header_only():
 
 def test_checkpointed_classify_matches_direct(tmp_path):
     direct = classify(3, "U2plus", Angle(1, 2))
-    ck = classify(3, "U2plus", Angle(1, 2), chunk=7, checkpoint=tmp_path / "run")
+    ck = classify(3, "U2plus", Angle(1, 2), checkpoint=tmp_path / "run")
     assert ck == direct
     parts = sorted(p.name for p in (tmp_path / "run").glob("part-*.bin"))
-    assert len(parts) == (4 ** 3 + 6) // 7
+    assert len(parts) == 4   # one per base of order 3
     # resume after deleting one partition: identical result
     (tmp_path / "run" / parts[1]).unlink()
-    again = classify(3, "U2plus", Angle(1, 2), chunk=7, checkpoint=tmp_path / "run")
+    again = classify(3, "U2plus", Angle(1, 2), checkpoint=tmp_path / "run")
     assert again == direct
 
 
 def test_parallel_checkpoint_resume_matches_serial(tmp_path):
     serial = classify(4, "Heta", Angle(1, 3))
     run = tmp_path / "run"
-    assert classify(4, "Heta", Angle(1, 3), chunk=512, jobs=2, checkpoint=run) == serial
+    assert classify(4, "Heta", Angle(1, 3), jobs=2, checkpoint=run) == serial
     parts = sorted(run.glob("part-*.bin"))
-    assert len(parts) == 4 ** 6 // 512
+    assert len(parts) == 11   # one per base of order 4
     for victim in parts[::3]:
         victim.unlink()
-    assert classify(4, "Heta", Angle(1, 3), chunk=512, jobs=2, checkpoint=run) == serial
+    assert classify(4, "Heta", Angle(1, 3), jobs=2, checkpoint=run) == serial
     assert not list(run.glob("*.tmp"))
 
 
 def test_checkpoint_corruption_reported(tmp_path):
-    classify(2, "A", None, chunk=2, checkpoint=tmp_path / "run")
-    victim = sorted((tmp_path / "run").glob("part-*.bin"))[1]
+    classify(2, "A", None, checkpoint=tmp_path / "run")
+    parts = sorted((tmp_path / "run").glob("part-*.bin"))
+    assert len(parts) == 2   # one per base of order 2
+    victim = parts[1]
     victim.write_bytes(victim.read_bytes()[:9])
     with pytest.raises(ValueError, match="partition 1"):
-        classify(2, "A", None, chunk=2, checkpoint=tmp_path / "run")
+        classify(2, "A", None, checkpoint=tmp_path / "run")
 
 
 def test_checkpoint_dir_guards_run_identity(tmp_path):
-    classify(2, "A", None, chunk=16, checkpoint=tmp_path / "run")
+    classify(2, "A", None, checkpoint=tmp_path / "run")
     with pytest.raises(ValueError, match="different run"):
-        classify(2, "H", Angle(1, 2), chunk=16, checkpoint=tmp_path / "run")
+        classify(2, "H", Angle(1, 2), checkpoint=tmp_path / "run")
 
 
 def test_checkpoint_without_key_format_rejected(tmp_path):
     run = tmp_path / "run"
-    classify(2, "A", None, chunk=16, checkpoint=run)
+    classify(2, "A", None, checkpoint=run)
     meta = json.loads((run / "meta.json").read_text())
     del meta["key_format"]
     (run / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(PreconditionError, match="different run"):
-        classify(2, "A", None, chunk=16, checkpoint=run)
+        classify(2, "A", None, checkpoint=run)
     (run / "meta.json").write_text("{")
     with pytest.raises(PreconditionError, match="unreadable"):
-        classify(2, "A", None, chunk=16, checkpoint=run)
+        classify(2, "A", None, checkpoint=run)
 
 
 # -- kernel keys against the exact Python routes -------------------------------------
@@ -177,28 +181,31 @@ def _reference_key(g, functor, eta):
 
 
 def test_kernel_keys_equal_python_reference_orders_two_to_four():
-    import numpy as np
-
-    from digraphwalk.enumeration import code_value_to_digraph, enumerate_digraph_codes
-    from digraphwalk.tables import _adjacency_stack, _classing_keys
+    from digraphwalk.enumeration import (
+        enumerate_undirected_graphs,
+        orientation_stack,
+        orientations_up_to_iso,
+    )
+    from digraphwalk.tables import _classing_keys
 
     cases = [(functor if functor != "H" else "Heta", eta)
              for functor, eta in STANDARD_TABLES.values()]
     cases += [("Heta", Angle(0, 1)), ("Heta", Angle(1, 1))]
     for order in (2, 3, 4):
-        codes = np.concatenate(list(enumerate_digraph_codes(order)))
-        graphs = [code_value_to_digraph(order, v) for v in codes.tolist()]
-        for functor, eta in cases:
-            keys = _classing_keys(_adjacency_stack(order, codes), functor, eta)
-            want = [_reference_key(g, functor, eta) for g in graphs]
-            assert keys == want, (order, functor, eta)
-            assert [classing_key(g, functor, eta) for g in graphs[::7]] == want[::7]
+        for base in enumerate_undirected_graphs(order):
+            stack = orientation_stack(base)
+            graphs = list(orientations_up_to_iso(base))
+            for functor, eta in cases:
+                keys = _classing_keys(stack, functor, eta)
+                want = [_reference_key(g, functor, eta) for g in graphs]
+                assert keys == want, (order, functor, eta, base)
+                assert [classing_key(g, functor, eta) for g in graphs[::7]] == want[::7]
 
 
 # -- parallel split and checkpoint checksum --------------------------------------------
 
 
-def test_jobs_split_a_single_partition(monkeypatch):
+def test_jobs_send_one_distinct_task_per_base(monkeypatch):
     import digraphwalk.tables as tables
 
     serial = classify(4, "A")
@@ -221,7 +228,7 @@ def test_jobs_split_a_single_partition(monkeypatch):
 
     monkeypatch.setattr(tables.mp, "Pool", RecordingPool)
     assert classify(4, "A", jobs=2) == serial
-    assert len(seen) >= 2 and len({task[3] for task in seen}) == len(seen)
+    assert sorted(task[3] for task in seen) == list(range(11))   # the bases of order 4
 
 
 def test_checkpoint_of_jobs_two_resumes_with_jobs_one(tmp_path):
