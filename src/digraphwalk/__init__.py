@@ -6,9 +6,9 @@ from .cycles import CycleClassification, classify_cycles
 from .digraph import (
     ArcSpace,
     Digraph,
-    EtaFunction,
     PreconditionError,
     arc_list_text,
+    arc_space,
     compact_code,
     complete_digraph,
     digon_cut_switch,

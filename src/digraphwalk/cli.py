@@ -17,7 +17,6 @@ from pathlib import Path
 from .cyclotomic import Angle
 from .digraph import Digraph, PreconditionError, from_compact_code, make_Y, parse_arc_list
 from .operators import (
-    NoArcsError,
     build_C,
     build_D_theta,
     build_F,
@@ -192,10 +191,21 @@ def cmd_supports(args) -> int:
 
 
 def _order_range(text: str) -> list[int]:
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("-")
+    orders = list(range(int(lo), int(hi if sep else lo) + 1))
+    if not orders:
+        raise ValueError("empty or descending range")
+    return orders
+
+
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return integer
 
 
 def cmd_tables(args) -> int:
@@ -205,7 +215,7 @@ def cmd_tables(args) -> int:
     try:
         orders = _order_range(args.order)
     except ValueError as exc:
-        raise ParseFailure(f"bad --order {args.order!r}") from exc
+        raise ParseFailure(f"bad --order {args.order!r}: {exc}") from exc
     for n in orders:
         if n > 5 and not args.long_run:
             raise PreconditionError(
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class by an explicit functor instead of a named table")
     t.add_argument("--eta", default="1/2", help="angle for Heta/U2plus functors")
     t.add_argument("--format", choices=("csv", "json", "markdown"), default="markdown")
-    t.add_argument("--jobs", type=int, default=1, help="parallel classing workers")
+    t.add_argument("--jobs", type=_at_least(1), default=1, help="parallel classing workers")
     t.add_argument("--long-run", action="store_true", help="allow order 6")
     t.add_argument("--checkpoint",
                    help="resumable checkpoint directory (required for order 6); "
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_tables)
 
     v = sub.add_parser("verify", help="run the invariant sweeps")
-    v.add_argument("--max-order", type=int, default=3,
+    v.add_argument("--max-order", type=_at_least(2), default=3,
                    help="largest digraph order in the sweeps (default 3)")
     v.set_defaults(func=cmd_verify)
     return p
@@ -324,7 +334,7 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NoArcsError, PreconditionError) as exc:
+    except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

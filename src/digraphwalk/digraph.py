@@ -8,8 +8,10 @@ supports, enumeration) is a pure function of this value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
-from .cyclotomic import Angle, CycScalar, make_root
+import numpy as np
 
 
 class PreconditionError(ValueError):
@@ -183,60 +185,61 @@ def digon_cut_switch(g: Digraph, s) -> Digraph:
     return Digraph(g.n, frozenset(arcs))
 
 
-# -- symmetric arc index ----------------------------------------------------
+# -- the arc context ----------------------------------------------------------
+
+
+class NoArcsError(PreconditionError):
+    """Arc-indexed operators cannot be built from an arcless digraph."""
 
 
 class ArcSpace:
-    """Deterministic index of A(G^+-): edges sorted by (min,max), each listed
-    as (min,max) then (max,min), so inverse arcs sit at paired even/odd slots."""
+    """The arc context of a digraph: a deterministic index of A(G^+-) with
+    every per-arc label the walk operators read.  Edges are sorted by
+    (min,max), each listed as (min,max) then (max,min), so inverse arcs sit
+    at paired even/odd slots.  Build it through ``arc_space(g)``.
 
-    __slots__ = ("digraph", "arcs", "index", "inv", "origin", "terminus",
-                 "degree", "theta_weight")
+    One context serves every caller, so nothing in it can be written: the
+    tuples, the ``index`` mapping and the read-only int64 arrays terminus
+    ``t``, origin ``o``, inverse ``inv``, vertex degree ``deg`` and
+    ``s_chat`` = S Chat, where Chat = 2 [t(a) = t(b)] - diag(deg t(a)) is
+    the Grover coin scaled by the degree of its row's terminus."""
+
+    __slots__ = ("digraph", "arcs", "index", "origin", "terminus", "degree",
+                 "theta_weight", "t", "o", "inv", "deg", "s_chat")
 
     def __init__(self, g: Digraph):
-        edges = underlying_edges(g)
-        arcs: list[tuple[int, int]] = []
-        for u, v in edges:
-            arcs.append((u, v))
-            arcs.append((v, u))
-        deg = degrees(g)
-        weights = []
-        for u, v in arcs:
-            if (u, v) in g.arcs:
-                weights.append(0 if (v, u) in g.arcs else 1)
-            else:
-                weights.append(-1)
+        arcs = [arc for u, v in underlying_edges(g) for arc in ((u, v), (v, u))]
         self.digraph = g
         self.arcs = tuple(arcs)
-        self.index = {a: i for i, a in enumerate(arcs)}
-        self.inv = tuple(i ^ 1 for i in range(len(arcs)))
-        self.origin = tuple(a[0] for a in arcs)
-        self.terminus = tuple(a[1] for a in arcs)
-        self.degree = deg
+        self.index = MappingProxyType({a: i for i, a in enumerate(arcs)})
+        self.origin = tuple(u for u, _ in arcs)
+        self.terminus = tuple(v for _, v in arcs)
+        self.degree = degrees(g)
         # +1 on one-way arcs of A(G), -1 on their inverses, 0 on digon arcs
-        self.theta_weight = tuple(weights)
+        self.theta_weight = tuple((0 if (v, u) in g.arcs else 1) if (u, v) in g.arcs else -1
+                                  for u, v in arcs)
+        self.t = np.array(self.terminus, dtype=np.int64)
+        self.o = np.array(self.origin, dtype=np.int64)
+        self.inv = np.arange(len(arcs), dtype=np.int64) ^ 1
+        self.deg = np.array(self.degree, dtype=np.int64)
+        t = self.t
+        chat = 2 * (t[:, None] == t[None, :]).astype(np.int64) - np.diag(self.deg[t])
+        self.s_chat = chat[self.inv, :]
+        for arr in (self.t, self.o, self.inv, self.deg, self.s_chat):
+            arr.flags.writeable = False
 
     def __len__(self):
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
-class EtaFunction:
-    """The arc labeling theta: +eta on one-way arcs, -eta on inverses, 0 on digons."""
-
-    angle: Angle
-    space: ArcSpace
-
-    def weight(self, i: int) -> int:
-        return self.space.theta_weight[i]
-
-    def phase(self, i: int) -> CycScalar:
-        """e^{i*theta(a)} as an exact root of unity."""
-        w = self.space.theta_weight[i]
-        root = make_root(self.angle)
-        if w == 0:
-            return CycScalar.rational(1, self.angle.order)
-        return root if w == 1 else root.conj()
+@lru_cache(maxsize=16)
+def arc_space(g: Digraph) -> ArcSpace:
+    """The arc context of g, built once per digraph: every builder and sign
+    kernel reads it.  The cache keeps only the last few, because a context
+    on m edges holds a (2m)^2 int64 matrix."""
+    if not g.arcs:
+        raise NoArcsError("digraph has no arcs; arc-indexed operators are undefined")
+    return ArcSpace(g)
 
 
 # -- text and compact-code formats ------------------------------------------

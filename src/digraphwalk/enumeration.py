@@ -234,11 +234,11 @@ def _distinct_actions(srcs: np.ndarray, swaps: np.ndarray):
     swap array, in first-seen order, as (src, swap) pairs."""
     if srcs.shape[1] == 0:
         return []
-    rows = np.concatenate([srcs, swaps], axis=1)
-    _, first = np.unique(rows, axis=0, return_index=True)
-    identity = np.arange(srcs.shape[1])
-    return [(srcs[i], swaps[i]) for i in sorted(first.tolist())
-            if not ((srcs[i] == identity).all() and not swaps[i].any())]
+    moves = ~(srcs == np.arange(srcs.shape[1])).all(axis=1) | swaps.any(axis=1)
+    distinct = {}
+    for src, swap in zip(srcs[moves], swaps[moves]):
+        distinct.setdefault(src.tobytes() + swap.tobytes(), (src, swap))
+    return list(distinct.values())
 
 
 def _base_edges(underlying: Digraph) -> list[tuple[int, int]]:

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Angle, CycScalar, make_root
-from .digraph import ArcSpace, Digraph, PreconditionError, digons
-
-
-class NoArcsError(PreconditionError):
-    """Arc-indexed operators cannot be built from an arcless digraph."""
+from .digraph import ArcSpace, Digraph, NoArcsError, arc_space, digons
 
 
 @dataclass(frozen=True)
@@ -303,16 +299,9 @@ class OpMatrix:
 # -- builders -----------------------------------------------------------------
 
 
-def _arc_space_checked(g: Digraph) -> ArcSpace:
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise NoArcsError("digraph has no arcs; arc-indexed operators are undefined")
-    return space
-
-
-def build_K(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
+def build_K(g: Digraph) -> OpMatrix:
     """Boundary matrix: K[v,a] = delta(v, t(a)) / sqrt(deg v), row-annotated."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     vs = vertex_space(g, positive_degree_only=True)
     one, zero = CycScalar.rational(1), CycScalar.rational(0)
     rows = []
@@ -322,19 +311,18 @@ def build_K(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
                     row_sqrt=tuple(space.degree[v] for v in vs.labels))
 
 
-def build_S(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
+def build_S(g: Digraph) -> OpMatrix:
     """Plain shift: S[a,b] = delta(a, b^-1)."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     one, zero = CycScalar.rational(1), CycScalar.rational(0)
-    n = len(space)
+    inv = space.inv.tolist()
     sp = arc_space_index(space)
-    return OpMatrix(sp, sp, [[one if space.inv[j] == i else zero for j in range(n)]
-                             for i in range(n)])
+    return OpMatrix(sp, sp, [[one if b == i else zero for b in inv] for i in range(len(inv))])
 
 
-def build_S_theta(g: Digraph, eta: Angle, space: ArcSpace | None = None) -> OpMatrix:
+def build_S_theta(g: Digraph, eta: Angle) -> OpMatrix:
     """Twisted shift: S[a,b] = e^{i*theta(b)} delta(a, b^-1)."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     m = eta.order
     zero = CycScalar.rational(0, m)
     root = make_root(eta)
@@ -350,9 +338,9 @@ def build_S_theta(g: Digraph, eta: Angle, space: ArcSpace | None = None) -> OpMa
     return OpMatrix(sp, sp, rows)
 
 
-def build_D_theta(g: Digraph, eta: Angle, space: ArcSpace | None = None) -> OpMatrix:
+def build_D_theta(g: Digraph, eta: Angle) -> OpMatrix:
     """Diagonal of arc phases e^{i*theta(a)}."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     m = eta.order
     zero = CycScalar.rational(0, m)
     root = make_root(eta)
@@ -367,9 +355,9 @@ def build_D_theta(g: Digraph, eta: Angle, space: ArcSpace | None = None) -> OpMa
     return OpMatrix(sp, sp, rows)
 
 
-def build_C(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
+def build_C(g: Digraph) -> OpMatrix:
     """Grover coin C = 2K*K - I, assembled directly in the exact field."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     n = len(space)
     sp = arc_space_index(space)
     zero = CycScalar.rational(0)
@@ -387,16 +375,14 @@ def build_C(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
     return OpMatrix(sp, sp, rows)
 
 
-def build_U_theta(g: Digraph, eta: Angle, space: ArcSpace | None = None) -> OpMatrix:
+def build_U_theta(g: Digraph, eta: Angle) -> OpMatrix:
     """Transfer matrix U_theta = S_theta C."""
-    space = space or _arc_space_checked(g)
-    return build_S_theta(g, eta, space) @ build_C(g, space)
+    return build_S_theta(g, eta) @ build_C(g)
 
 
-def build_U_grover(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
+def build_U_grover(g: Digraph) -> OpMatrix:
     """Grover transfer matrix of the underlying graph: U = S C."""
-    space = space or _arc_space_checked(g)
-    return build_S(g, space) @ build_C(g, space)
+    return build_S(g) @ build_C(g)
 
 
 def build_H_eta(g: Digraph, eta: Angle) -> OpMatrix:
@@ -427,7 +413,7 @@ def build_H_tilde(g: Digraph, eta: Angle) -> OpMatrix:
 
     Rows/columns are the positive-degree vertices; the core is the plain
     eta-Hermitian matrix restricted to them."""
-    space = _arc_space_checked(g)
+    space = arc_space(g)
     vs = vertex_space(g, positive_degree_only=True)
     full = build_H_eta(g, eta)
     rows = [[full.data[x][y] for y in vs.labels] for x in vs.labels]
@@ -435,9 +421,9 @@ def build_H_tilde(g: Digraph, eta: Angle) -> OpMatrix:
     return OpMatrix(vs, vs, rows, row_sqrt=d, col_sqrt=d)
 
 
-def build_F(g: Digraph, space: ArcSpace | None = None) -> tuple[OpMatrix, OpMatrix]:
+def build_F(g: Digraph) -> tuple[OpMatrix, OpMatrix]:
     """Terminus and origin incidence matrices (F_t, F_o)."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     vs = vertex_space(g, positive_degree_only=True)
     one, zero = CycScalar.rational(1), CycScalar.rational(0)
     sp = arc_space_index(space)
@@ -448,9 +434,9 @@ def build_F(g: Digraph, space: ArcSpace | None = None) -> tuple[OpMatrix, OpMatr
     return OpMatrix(vs, sp, ft), OpMatrix(vs, sp, fo)
 
 
-def build_R(g: Digraph, space: ArcSpace | None = None) -> OpMatrix:
+def build_R(g: Digraph) -> OpMatrix:
     """Digon locator: R[a,b] = 1 iff the pair (t(b), o(a)) is a digon arc."""
-    space = space or _arc_space_checked(g)
+    space = arc_space(g)
     dig = digons(g)
     one, zero = CycScalar.rational(1), CycScalar.rational(0)
     n = len(space)

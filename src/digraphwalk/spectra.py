@@ -32,7 +32,7 @@ import numpy as np
 
 from .cyclotomic import Angle, CycScalar, cyclotomic_polynomial
 from .cycles import classify_cycles
-from .digraph import ArcSpace, Digraph, PreconditionError, underlying_edges, weakly_connected
+from .digraph import Digraph, PreconditionError, arc_space, weakly_connected
 from .operators import OpMatrix, build_H_tilde, build_U_theta
 
 MAX_CHARPOLY_DIM = 64
@@ -466,15 +466,13 @@ def spectrum_U_via_mapping(g: Digraph, eta: Angle) -> SpectrumSummary:
     multiplicities of +-1 come from the closed-path classification, and the
     extra +-1 eigenvalues have multiplicity max(0, |E| - |V| + m_eps) on the
     positive-degree vertex set."""
+    space = arc_space(g)
     if not weakly_connected(g):
         raise PreconditionError(
             "spectral mapping requires a weakly connected digraph; "
             "compute per weak component instead")
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise PreconditionError("digraph has no arcs")
     cls = classify_cycles(g, eta)
-    n_edges = len(underlying_edges(g))
+    n_edges = len(space) // 2
     n_vertices = sum(1 for d in space.degree if d > 0)
     htilde = build_H_tilde(g, eta)
     disc = eig_hermitian(htilde)
@@ -524,26 +522,17 @@ def spectrum_U_oracle(g: Digraph, eta: Angle) -> SpectrumSummary:
 
 
 def build_U_theta_float(g: Digraph, eta: float) -> np.ndarray:
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise PreconditionError("digraph has no arcs")
-    n = len(space)
-    coin = np.zeros((n, n))
-    for i in range(n):
-        d = space.degree[space.terminus[i]]
-        for j in range(n):
-            if space.terminus[j] == space.terminus[i]:
-                coin[i, j] = 2.0 / d - (1.0 if i == j else 0.0)
+    space = arc_space(g)
+    n, t = len(space), space.t
+    # the diagonal is 2/d - 1 rounded twice; (2 - d)/d can differ in the last bit
+    coin = 2.0 * (t[:, None] == t[None, :]) / space.deg[t][:, None] - np.eye(n)
     shift = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        shift[space.inv[j], j] = np.exp(1j * eta * space.theta_weight[j])
+    shift[space.inv, np.arange(n)] = np.exp(1j * eta * np.array(space.theta_weight))
     return shift @ coin
 
 
 def build_H_tilde_float(g: Digraph, eta: float) -> np.ndarray:
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise PreconditionError("digraph has no arcs")
+    space = arc_space(g)
     verts = [v for v in range(g.n) if space.degree[v] > 0]
     n = len(verts)
     out = np.zeros((n, n), dtype=complex)

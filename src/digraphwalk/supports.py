@@ -14,6 +14,21 @@ positive factors (the coin's 1/deg, the magnitude of U[a, b]) can be
 dropped without changing its sign: the products use sign(S Chat) on the
 left.  Every entry is then bounded by den * max|phase coordinate| *
 max(2, max deg) * (number of phase coordinates), far inside int64.
+
+The middle-arc lemma: the three-regime square-support formula holds for
+every digraph.  Since theta(a^-1) = -theta(a), D_theta S_theta = S, so
+D_theta U_theta = S C = U_0, the real Grover walk of G^+-, and
+D_theta U_theta^2 = U_0 D_theta^-1 U_0.  By the argument above, entry
+[a, c] has at most one middle arc b, and then equals
+U_0[a, b] U_0[b, c] e^{-i theta(b)}, whose real part is
+(U_0^2)[a, c] cos theta(b): cos theta(b) = 1 on a digon arc and cos eta
+on any other.  Below pi/2 every factor is positive, so (U_theta^2)^+- =
+(U_0^2)^+-; at pi/2 only middle digon arcs survive, (U_0^2)^+- o R; above
+pi/2 the others flip sign, (U_0^2)^+- o R + (U_0^2)^-+ o (J - R), with R
+the digon locator (R[a, c] = 1 iff (t(c), o(a)) is a digon arc).  Where no
+middle arc exists both sides are 0.  Nothing here uses regularity: k-regular
+with k >= 3 is only the paper's hypothesis, which ``SquareSupportReport``
+still reports as "proved regime" against "empirical probe".
 """
 
 from __future__ import annotations
@@ -25,10 +40,9 @@ from math import lcm
 import numpy as np
 
 from .cyclotomic import Angle, CycScalar, make_root, rational_real_coeffs
-from .digraph import ArcSpace, Digraph, PreconditionError, digons, is_graph, is_regular
+from .digraph import ArcSpace, Digraph, PreconditionError, arc_space, digons, is_graph, is_regular
 from .operators import (
     IndexSpace,
-    NoArcsError,
     OpMatrix,
     arc_space_index,
     build_D_theta,
@@ -95,16 +109,6 @@ def support(m: OpMatrix, sign, real_part: bool = False) -> SupportMatrix:
 # -- fast exact sign pipeline -------------------------------------------------
 
 
-def _int_arrays(space: ArcSpace):
-    n = len(space)
-    t = np.array(space.terminus, dtype=np.int64)
-    o = np.array(space.origin, dtype=np.int64)
-    inv = np.array(space.inv, dtype=np.int64)
-    deg = np.array(space.degree, dtype=np.int64)
-    chat = 2 * (t[:, None] == t[None, :]).astype(np.int64) - np.diag(deg[t])
-    return n, t, o, inv, deg, chat
-
-
 def _phase_components(eta: Angle, weights) -> list[np.ndarray]:
     """Basis coordinates of e^{i*theta(a)} per arc (integer, phi(m) columns)."""
     m = eta.order
@@ -126,18 +130,15 @@ def sign_data_power(g: Digraph, eta: Angle, n: int) -> np.ndarray | None:
     re_coeffs = rational_real_coeffs(eta.order)
     if re_coeffs is None and n != 1:
         return None
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise NoArcsError("digraph has no arcs")
-    _, t, o, inv, deg, chat = _int_arrays(space)
-    s_chat = chat[inv, :]
+    space = arc_space(g)
+    s_chat = space.s_chat
     if n == 1:
         # D_theta U_theta = U(G^+-) = diag(1/deg o) * (S Chat): real, any angle
         return np.sign(s_chat).astype(np.int64)
     # sign(s_chat) stands in for the positively scaled U: see the module docstring
     left = np.sign(s_chat)
     comps = _phase_components(eta, space.theta_weight)
-    prods = [left @ (comp[inv][:, None] * s_chat) for comp in comps]
+    prods = [left @ (comp[space.inv][:, None] * s_chat) for comp in comps]
     # Re = sum_k prods[k] * cos(2 pi k / m); scale to integers
     den = lcm(*[c.denominator for c in re_coeffs])
     re = sum(int(c * den) * p for c, p in zip(re_coeffs, prods))
@@ -146,29 +147,22 @@ def sign_data_power(g: Digraph, eta: Angle, n: int) -> np.ndarray | None:
 
 def grover_square_signs(g: Digraph) -> np.ndarray:
     """Exact sign matrix of U(G^+-)^2 entries (integer route)."""
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise NoArcsError("digraph has no arcs")
-    _, t, o, inv, deg, chat = _int_arrays(space)
-    s_chat = chat[inv, :]
+    s_chat = arc_space(g).s_chat
     return np.sign(np.sign(s_chat) @ s_chat).astype(np.int64)
 
 
-def digon_locator_array(g: Digraph, space: ArcSpace | None = None) -> np.ndarray:
-    space = space or ArcSpace(g)
+def digon_locator_array(g: Digraph) -> np.ndarray:
+    space = arc_space(g)
     mask = np.zeros((g.n, g.n), dtype=np.int64)
     for x, y in digons(g):
         mask[x, y] = mask[y, x] = 1
-    o = np.array(space.origin, dtype=np.intp)
-    t = np.array(space.terminus, dtype=np.intp)
-    return mask[o[:, None], t[None, :]]
+    return mask[space.o[:, None], space.t[None, :]]
 
 
-def _power_sign_matrix(g: Digraph, eta: Angle, n: int, space: ArcSpace) -> np.ndarray:
+def _power_sign_matrix(g: Digraph, eta: Angle, n: int) -> np.ndarray:
     signs = sign_data_power(g, eta, n)
     if signs is None:
-        u = build_U_theta(g, eta, space)
-        mat = build_D_theta(g, eta, space) @ u.power(n)
+        mat = build_D_theta(g, eta) @ build_U_theta(g, eta).power(n)
         signs = np.array([[x.real_part_sign() for x in row] for row in mat.data],
                          dtype=np.int64)
     return signs
@@ -179,12 +173,8 @@ def power_support(g: Digraph, eta: Angle, n: int, sign) -> SupportMatrix:
     if n < 1:
         raise PreconditionError("power must be >= 1")
     want = _sign_value(sign)
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise NoArcsError("digraph has no arcs")
-    signs = _power_sign_matrix(g, eta, n, space)
-    data = tuple(tuple(int(v) for v in (signs[i] == want).astype(int))
-                 for i in range(signs.shape[0]))
+    space = arc_space(g)
+    data = tuple(map(tuple, (_power_sign_matrix(g, eta, n) == want).astype(np.int64).tolist()))
     return SupportMatrix(arc_space_index(space), data, want, power=n, eta=eta)
 
 
@@ -217,17 +207,17 @@ class SquareSupportReport:
 def verify_square_support_formula(g: Digraph, eta: Angle) -> SquareSupportReport:
     """Check the three-regime formula for the squared-walk supports entrywise.
 
-    The proved hypothesis is k-regularity with k >= 3; other inputs are
-    still checked and reported as an empirical probe."""
+    The signs of D_theta U_theta^2 come from sign_data_power or the exact
+    OpMatrix power, never from the formula.  By the middle-arc lemma (module
+    docstring) the formula holds for every digraph; inputs outside the
+    paper's hypothesis, k-regular with k >= 3, are labeled an empirical
+    probe."""
     k = is_regular(g)
     precondition_ok = k is not None and k >= 3
     regime = eta_regime(eta)
-    space = ArcSpace(g)
-    if not space.arcs:
-        raise NoArcsError("digraph has no arcs")
     u2 = grover_square_signs(g)
-    r = digon_locator_array(g, space)
-    signs = _power_sign_matrix(g, eta, 2, space)
+    r = digon_locator_array(g)
+    signs = _power_sign_matrix(g, eta, 2)
     violations: list[tuple[str, int, int]] = []
     for eps in (1, -1):
         lhs = (signs == eps).astype(np.int64)
@@ -280,12 +270,11 @@ def verify_square_negative_identity(g: Digraph) -> NegativeSquareReport:
     ok = is_graph(g) and k is not None and k >= 3
     if not ok:
         return NegativeSquareReport(False, k, False, ())
-    space = ArcSpace(g)
+    inv = arc_space(g).inv
     u2 = grover_square_signs(g)
     lhs = (u2 == -1).astype(np.int64)
     u1 = sign_data_power(g, Angle(0, 1), 1)
     uplus = (u1 == 1).astype(np.int64)
-    inv = np.array(space.inv)
     rhs = uplus[inv, :] + uplus[:, inv]
     diff = np.argwhere(lhs != rhs)
     return NegativeSquareReport(True, k, diff.size == 0,
@@ -316,8 +305,8 @@ def grover_positive_support_regular(g: Digraph) -> SupportMatrix:
     k = is_regular(g)
     if k is None or k < 3:
         raise PreconditionError("formula requires a k-regular digraph with k >= 3")
-    space = ArcSpace(g)
-    s = build_S(g, space)
+    space = arc_space(g)
+    s = build_S(g)
     # K*K on the arc space is rational: delta(t(a),t(b))/deg t(a)
     n = len(space)
     kk = [[CycScalar.rational(Fraction(1, k)) if space.terminus[a] == space.terminus[b]

@@ -105,6 +105,19 @@ def test_tables_order_six_guarded(capsys):
     assert "long-run" in err
 
 
+def test_tables_descending_order_range_is_parse_error(capsys):
+    code, out, err = run(capsys, "tables", "--order", "5-3", "--table", "all",
+                         "--verify-paper")
+    assert code == EXIT_PARSE
+    assert "--order" in err and "verified" not in err and not out
+
+
+def test_tables_jobs_below_one_is_parse_error(capsys):
+    code, out, err = run(capsys, "tables", "--order", "3", "--jobs", "0")
+    assert code == EXIT_PARSE
+    assert "--jobs" in err and not out
+
+
 def test_tables_functor_override(capsys, tmp_path):
     out_file = tmp_path / "t.csv"
     code, _, _ = run(capsys, "tables", "--order", "2", "--functor", "Heta",
@@ -164,6 +177,12 @@ def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--max-order", "2")
     assert code == EXIT_OK
     assert "operator identities" in out
+
+
+def test_verify_max_order_below_two_is_parse_error(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "1")
+    assert code == EXIT_PARSE
+    assert "--max-order" in err and "ok" not in out
 
 
 def test_float_eta_escape_hatch(capsys):

@@ -1,14 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
-from digraphwalk.cyclotomic import Angle
 from digraphwalk.digraph import (
     ArcSpace,
     Digraph,
-    EtaFunction,
+    NoArcsError,
     PreconditionError,
     arc_list_text,
+    arc_space,
     compact_code,
     complete_digraph,
     degrees,
@@ -104,15 +105,15 @@ def test_eta_function_antisymmetry():
         g = random_digraph(rng, 5)
         if not g.arcs:
             continue
-        space = ArcSpace(g)
-        theta = EtaFunction(Angle(1, 3), space)
+        space = arc_space(g)
+        weight = space.theta_weight
         for i in range(len(space)):
-            assert theta.weight(i) + theta.weight(space.inv[i]) == 0
+            assert weight[i] + weight[space.inv[i]] == 0
             u, v = space.arcs[i]
             in_digon = (u, v) in g.arcs and (v, u) in g.arcs
-            assert (theta.weight(i) == 0) == in_digon
+            assert (weight[i] == 0) == in_digon
         # reversing every arc negates the labeling arcwise
-        tspace = ArcSpace(transpose(g))
+        tspace = arc_space(transpose(g))
         assert tspace.arcs == space.arcs
         for i in range(len(space)):
             assert tspace.theta_weight[i] == -space.theta_weight[i]
@@ -120,11 +121,35 @@ def test_eta_function_antisymmetry():
 
 def test_arc_space_pairing():
     g = fig_digraph()
-    space = ArcSpace(g)
+    space = arc_space(g)
     assert space.arcs == ((0, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
     for i, (u, v) in enumerate(space.arcs):
         assert space.arcs[space.inv[i]] == (v, u)
         assert space.origin[i] == u and space.terminus[i] == v
+
+
+def test_arc_space_is_one_cached_read_only_context():
+    g = fig_digraph()
+    space = arc_space(g)
+    assert isinstance(space, ArcSpace)
+    assert arc_space(Digraph.of(4, sorted(g.arcs))) is space  # equal digraphs share it
+    assert space.t.tolist() == list(space.terminus)
+    assert space.o.tolist() == list(space.origin)
+    assert space.inv.tolist() == [i ^ 1 for i in range(len(space))]
+    assert space.deg.tolist() == list(degrees(g))
+    # S Chat from its definition: 2 [o(a) = t(b)] - deg o(a) [b = a^-1]
+    want = [[2 * (space.origin[a] == space.terminus[b])
+             - (space.degree[space.origin[a]] if b == a ^ 1 else 0)
+             for b in range(len(space))] for a in range(len(space))]
+    assert space.s_chat.tolist() == want
+    for arr in (space.t, space.o, space.inv, space.deg, space.s_chat):
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    with pytest.raises(TypeError):
+        space.index[(0, 1)] = 1
+    with pytest.raises(NoArcsError):
+        arc_space(Digraph.of(3, []))
 
 
 def test_arc_list_parsing():

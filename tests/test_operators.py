@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from digraphwalk.cyclotomic import Angle, CycScalar, make_root
-from digraphwalk.digraph import ArcSpace, Digraph, complete_digraph, digons
+from digraphwalk import spectra, supports
+from digraphwalk.digraph import ArcSpace, Digraph, arc_space, complete_digraph, digons, empty_digraph
 from digraphwalk.operators import (
     NoArcsError,
     OpMatrix,
@@ -36,8 +37,8 @@ def _perm_to_example(space: ArcSpace) -> list[int]:
 
 def test_boundary_matrix_worked_example():
     g = fig_digraph()
-    space = ArcSpace(g)
-    k = build_K(g, space)
+    space = arc_space(g)
+    k = build_K(g)
     perm = _perm_to_example(space)
     # printed entries: 1/sqrt(deg t(a)) at row t(a); degrees (1,3,2,2)
     assert k.row_sqrt == (1, 3, 2, 2)
@@ -59,8 +60,8 @@ def _reordered(mat: OpMatrix, perm) -> list[list[CycScalar]]:
 
 def test_coin_worked_example():
     g = fig_digraph()
-    space = ArcSpace(g)
-    c = build_C(g, space)
+    space = arc_space(g)
+    c = build_C(g)
     got = _reordered(c, _perm_to_example(space))
     t, h = Fraction(2, 3), Fraction(-1, 3)
     expected = [
@@ -80,8 +81,8 @@ def test_coin_worked_example():
 
 def test_twisted_shift_worked_example():
     g = fig_digraph()
-    space = ArcSpace(g)
-    st = build_S_theta(g, Angle(1, 2), space)
+    space = arc_space(g)
+    st = build_S_theta(g, Angle(1, 2))
     got = _reordered(st, _perm_to_example(space))
     i = make_root(Angle(1, 2))
     zero, one = CycScalar.rational(0, 4), CycScalar.rational(1, 4)
@@ -100,8 +101,8 @@ def test_twisted_shift_worked_example():
 
 def test_transfer_matrix_worked_example():
     g = fig_digraph()
-    space = ArcSpace(g)
-    ut = build_U_theta(g, Angle(1, 2), space)
+    space = arc_space(g)
+    ut = build_U_theta(g, Angle(1, 2))
     got = _reordered(ut, _perm_to_example(space))
     i = make_root(Angle(1, 2))
     z = CycScalar.rational(0, 4)
@@ -169,6 +170,40 @@ def test_empty_graph_rejected():
         build_K(Digraph.of(3, []))
 
 
+_HALF_PI = Angle(1, 2)
+
+ARC_INDEXED = {
+    "build_K": lambda g: build_K(g),
+    "build_S": lambda g: build_S(g),
+    "build_S_theta": lambda g: build_S_theta(g, _HALF_PI),
+    "build_D_theta": lambda g: build_D_theta(g, _HALF_PI),
+    "build_C": lambda g: build_C(g),
+    "build_U_theta": lambda g: build_U_theta(g, _HALF_PI),
+    "build_U_grover": lambda g: build_U_grover(g),
+    "build_H_tilde": lambda g: build_H_tilde(g, _HALF_PI),
+    "build_F": lambda g: build_F(g),
+    "build_R": lambda g: build_R(g),
+    "sign_data_power": lambda g: supports.sign_data_power(g, _HALF_PI, 2),
+    "grover_square_signs": lambda g: supports.grover_square_signs(g),
+    "digon_locator_array": lambda g: supports.digon_locator_array(g),
+    "power_support": lambda g: supports.power_support(g, Angle(1, 4), 2, "+"),
+    "verify_square_support_formula":
+        lambda g: supports.verify_square_support_formula(g, _HALF_PI),
+    "digon_count_via_trace": lambda g: supports.digon_count_via_trace(g, _HALF_PI),
+    "spectrum_U_via_mapping": lambda g: spectra.spectrum_U_via_mapping(g, _HALF_PI),
+    "spectrum_U_oracle": lambda g: spectra.spectrum_U_oracle(g, _HALF_PI),
+    "build_U_theta_float": lambda g: spectra.build_U_theta_float(g, 0.5),
+    "build_H_tilde_float": lambda g: spectra.build_H_tilde_float(g, 0.5),
+    "spectrum_U_float": lambda g: spectra.spectrum_U_float(g, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARC_INDEXED))
+def test_every_arc_indexed_entry_point_raises_no_arcs(name):
+    with pytest.raises(NoArcsError, match="no arcs"):
+        ARC_INDEXED[name](empty_digraph(3))
+
+
 def _transpose(m: OpMatrix) -> OpMatrix:
     # real 0/1 incidence matrices: adjoint is the plain transpose
     return m.adjoint()
@@ -190,7 +225,7 @@ def test_incidence_identities():
         assert (s @ _transpose(ft)) == _transpose(fo)
         assert (s @ _transpose(fo)) == _transpose(ft)
         prod = _transpose(fo) @ ft
-        space = ArcSpace(g)
+        space = arc_space(g)
         for a in range(len(space)):
             for b in range(len(space)):
                 want = 1 if space.terminus[b] == space.origin[a] else 0
@@ -202,8 +237,8 @@ def test_digon_locator():
     tournament = Digraph.of(3, [(0, 1), (1, 2), (2, 0)])
     assert build_R(tournament).is_zero()
     g = fig_digraph()
-    space = ArcSpace(g)
-    r = build_R(g, space)
+    space = arc_space(g)
+    r = build_R(g)
     dig = digons(g)
     for a in range(len(space)):
         for b in range(len(space)):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from digraphwalk.cyclotomic import Angle
-from digraphwalk.digraph import ArcSpace, Digraph, PreconditionError, complete_digraph, make_Y, transpose, underlying_edges, digons
+from digraphwalk.digraph import ArcSpace, Digraph, arc_space, PreconditionError, complete_digraph, make_Y, transpose, underlying_edges, digons
 from digraphwalk.operators import (
     OpMatrix,
     build_D_theta,
@@ -15,6 +15,7 @@ from digraphwalk.operators import (
     build_U_theta,
     build_R,
 )
+from digraphwalk.enumeration import DIGRAPH_CLASS_COUNTS, enumerate_digraphs
 from digraphwalk.spectra import charpoly_int
 from digraphwalk.supports import (
     digon_count_via_trace,
@@ -23,6 +24,7 @@ from digraphwalk.supports import (
     grover_square_signs,
     pair_class,
     power_support,
+    sign_data_power,
     support,
     verify_square_negative_identity,
     verify_square_support_formula,
@@ -37,7 +39,7 @@ def test_support_of_identity():
     from digraphwalk.operators import arc_space_index
 
     g = complete_digraph(3)
-    sp = arc_space_index(ArcSpace(g))
+    sp = arc_space_index(arc_space(g))
     eye = OpMatrix.identity(sp)
     sup = support(eye, "+")
     assert sup.data == tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
@@ -166,7 +168,7 @@ def test_negative_square_identity():
 def test_pair_classification_matches_square_signs():
     # undirected regular, k >= 3: sign of (U^2)_ab from the pair class
     for g in (complete_digraph(4), complete_digraph(5)):
-        space = ArcSpace(g)
+        space = arc_space(g)
         u = build_U_grover(g)
         u2 = u @ u
         for a in range(len(space)):
@@ -187,7 +189,7 @@ def test_single_middle_arc_identity_regular():
 
     g = make_Y(2, 4)
     eta = Angle(2, 3)
-    space = ArcSpace(g)
+    space = arc_space(g)
     u = build_U_grover(g)
     u2 = u @ u
     lhs = build_D_theta(g, eta) @ build_U_theta(g, eta) @ build_U_theta(g, eta)
@@ -243,7 +245,7 @@ def test_square_signs_exact_on_star_forest():
             arcs |= {(centre, leaf), (leaf, centre)}
         centre += 1 + d
     g = Digraph(centre, frozenset(arcs))
-    space = ArcSpace(g)
+    space = arc_space(g)
     # exact Grover U by sparse rows: U[a, b] is nonzero only when t(b) = o(a)
     into = defaultdict(list)
     for b, t in enumerate(space.terminus):
@@ -265,3 +267,60 @@ def test_square_signs_exact_on_star_forest():
     # every arc lies in a digon, so D_theta = I and U_theta = U at any angle
     sup = power_support(g, Angle(1, 2), 2, "+")
     assert np.array_equal(np.array(sup.data), (want == 1).astype(np.int64))
+
+
+# -- the middle-arc lemma ----------------------------------------------------
+#
+# Each entry of D_theta U_theta^2 has at most one middle arc, so the
+# three-regime formula holds for every digraph, not only k-regular ones with
+# k >= 3.  verify_square_support_formula compares the formula with the
+# signs of an independent route: the integer products of sign_data_power at
+# the tabulated angles, the exact OpMatrix power elsewhere.
+
+
+def _assert_lemma(graphs, angles) -> int:
+    checked = 0
+    for g in graphs:
+        if not g.arcs:
+            continue
+        for eta in angles:
+            assert verify_square_support_formula(g, eta).holds, (g, eta)
+        checked += 1
+    return checked
+
+
+def test_middle_arc_lemma_every_digraph_of_order_five():
+    assert _assert_lemma(enumerate_digraphs(5), TABLED_ANGLES) == DIGRAPH_CLASS_COUNTS[5] - 1
+
+
+def test_middle_arc_lemma_at_generic_angles_orders_two_to_four():
+    generic = (Angle(1, 4), Angle(2, 5), Angle(5, 6))
+    g = complete_digraph(3)
+    # these angles take the exact scalar route, not the integer one
+    assert all(sign_data_power(g, eta, 2) is None for eta in generic)
+    for n in (2, 3, 4):
+        assert _assert_lemma(enumerate_digraphs(n), generic) == DIGRAPH_CLASS_COUNTS[n] - 1
+
+
+def test_middle_arc_lemma_on_random_larger_digraphs():
+    rng = random.Random(710)
+    graphs = [random_digraph(rng, n, density) for n in (7, 8, 9, 10)
+              for density in (0.2, 0.35, 0.5) for _ in range(8)]
+    assert _assert_lemma(graphs, (Angle(1, 2), Angle(2, 3))) == len(graphs)
+
+
+def test_one_arc_context_per_digraph(monkeypatch):
+    builds = []
+    init = ArcSpace.__init__
+
+    def counted(self, g):
+        builds.append(g)
+        init(self, g)
+
+    arc_space.cache_clear()
+    monkeypatch.setattr(ArcSpace, "__init__", counted)
+    g = make_Y(2, 5)
+    for eta in TABLED_ANGLES:
+        verify_square_support_formula(g, eta)
+        digon_count_via_trace(g, eta)
+    assert builds == [g]
