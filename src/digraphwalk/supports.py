@@ -2,18 +2,21 @@
 identities that govern the squared walk.
 
 The support of the n-th power reads off the exact sign of the real part of
-each entry of D_theta * U_theta^n.  For the angles whose scalar field is
-rational or imaginary quadratic (every tabulated angle), the sign data is
-obtained from integer matrices, and numpy int64 arithmetic decides every
-sign exactly.  Other angles fall back to elementwise exact scalars.
+each entry of D_theta * U_theta^n.  For the angles whose cosine is rational
+(every tabulated angle), the sign data is obtained from integer matrices
+whose products are exact.  Other angles fall back to elementwise exact
+scalars.
 
 Why the integer route is exact at any size: U[a, b] is nonzero only when
 t(b) = o(a), so an entry (U^2)[a, c] has at most one middle arc,
 b = (t(c), o(a)).  Each entry is therefore a single product, and its
 positive factors (the coin's 1/deg, the magnitude of U[a, b]) can be
 dropped without changing its sign: the products use sign(S Chat) on the
-left.  Every entry is then bounded by den * max|phase coordinate| *
-max(2, max deg) * (number of phase coordinates), far inside int64.
+left, and the real part of the middle phase is folded into one integer
+weight per arc, den * cos theta(b).  ``_exact_matmul`` runs such a product
+in float64 BLAS when inner dimension * max|left| * max|right| < 2**53:
+then every partial sum is an integer below 2**53, exactly representable
+whatever the summation order.  Beyond that bound it multiplies Python ints.
 
 The middle-arc lemma: the three-regime square-support formula holds for
 every digraph.  Since theta(a^-1) = -theta(a), D_theta S_theta = S, so
@@ -29,13 +32,16 @@ the digon locator (R[a, c] = 1 iff (t(c), o(a)) is a digon arc).  Where no
 middle arc exists both sides are 0.  Nothing here uses regularity: k-regular
 with k >= 3 is only the paper's hypothesis, which ``SquareSupportReport``
 still reports as "proved regime" against "empirical probe".
+``square_support_formula`` is the formula: ``tables`` keys (U^2)^+ with it,
+and ``verify_square_support_formula`` compares it with the signs of the
+products above, never with itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,46 +115,65 @@ def support(m: OpMatrix, sign, real_part: bool = False) -> SupportMatrix:
 # -- fast exact sign pipeline -------------------------------------------------
 
 
-def _phase_components(eta: Angle, weights) -> list[np.ndarray]:
-    """Basis coordinates of e^{i*theta(a)} per arc (integer, phi(m) columns)."""
-    m = eta.order
+@lru_cache(maxsize=16)
+def _real_weights(eta: Angle) -> np.ndarray | None:
+    """den * Re e^{i w eta} for the theta-weights w = -1, 0, 1 (at index
+    w + 1), as integers with one positive den; None when cos eta is
+    irrational."""
+    re_coeffs = rational_real_coeffs(eta.order)
+    if re_coeffs is None:
+        return None
     root = make_root(eta)
-    table = {0: CycScalar.rational(1, m).num, 1: root.num, -1: root.conj().num}
-    phi = len(table[0])
-    comps = [np.array([table[w][c] for w in weights], dtype=np.int64)
-             for c in range(phi)]
-    return comps
+    cos = sum(c * x for c, x in zip(re_coeffs, root.num)) / Fraction(root.den)
+    den = cos.denominator
+    weights = np.array([cos.numerator, den, cos.numerator], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integer product a @ b, exact at any size: int64 from float64 BLAS
+    when inner_dim * max|a| * max|b| < 2**53 (module docstring), otherwise
+    a dtype=object array of Python ints.  The maxima are read in float64:
+    exact below 2**53, and rounding never takes a larger one below it."""
+    fa, fb = a.astype(np.float64), b.astype(np.float64)
+    if a.shape[-1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0)) < 2 ** 53:
+        return (fa @ fb).astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 def sign_data_power(g: Digraph, eta: Angle, n: int) -> np.ndarray | None:
     """Exact sign matrix of Re(D_theta U_theta^n) via integer arithmetic.
 
-    Returns None when the angle's field has no rational real-part form or
-    the power is not covered (n > 2); callers then use the scalar path."""
+    Returns None when cos eta is irrational or the power is not covered
+    (n > 2); callers then use the scalar path."""
     if n not in (1, 2):
         return None
-    re_coeffs = rational_real_coeffs(eta.order)
-    if re_coeffs is None and n != 1:
+    weights = _real_weights(eta)
+    if weights is None and n != 1:
         return None
     space = arc_space(g)
     s_chat = space.s_chat
     if n == 1:
         # D_theta U_theta = U(G^+-) = diag(1/deg o) * (S Chat): real, any angle
         return np.sign(s_chat).astype(np.int64)
-    # sign(s_chat) stands in for the positively scaled U: see the module docstring
-    left = np.sign(s_chat)
-    comps = _phase_components(eta, space.theta_weight)
-    prods = [left @ (comp[space.inv][:, None] * s_chat) for comp in comps]
-    # Re = sum_k prods[k] * cos(2 pi k / m); scale to integers
-    den = lcm(*[c.denominator for c in re_coeffs])
-    re = sum(int(c * den) * p for c, p in zip(re_coeffs, prods))
-    return np.sign(re).astype(np.int64)
+    # sign(s_chat) stands in for the positively scaled U: see the module
+    # docstring.  Re e^{-i theta(b)} on the middle arc b is den * cos theta(b),
+    # and cos is even.
+    middle = weights[np.asarray(space.theta_weight) + 1]
+    return np.sign(_exact_matmul(np.sign(s_chat), middle[:, None] * s_chat)).astype(np.int64)
 
 
 def grover_square_signs(g: Digraph) -> np.ndarray:
     """Exact sign matrix of U(G^+-)^2 entries (integer route)."""
     s_chat = arc_space(g).s_chat
-    return np.sign(np.sign(s_chat) @ s_chat).astype(np.int64)
+    return np.sign(_exact_matmul(np.sign(s_chat), s_chat)).astype(np.int64)
+
+
+def digon_locator(space: ArcSpace, digon: np.ndarray) -> np.ndarray:
+    """R[a, c] = digon[o(a), t(c)] on the arc space: 1 iff (t(c), o(a)) is a
+    digon arc, for the symmetric n x n 0/1 matrix of a digon set."""
+    return digon[space.o[:, None], space.t[None, :]]
 
 
 def digon_locator_array(g: Digraph) -> np.ndarray:
@@ -156,7 +181,7 @@ def digon_locator_array(g: Digraph) -> np.ndarray:
     mask = np.zeros((g.n, g.n), dtype=np.int64)
     for x, y in digons(g):
         mask[x, y] = mask[y, x] = 1
-    return mask[space.o[:, None], space.t[None, :]]
+    return digon_locator(space, mask)
 
 
 def _power_sign_matrix(g: Digraph, eta: Angle, n: int) -> np.ndarray:
@@ -204,6 +229,20 @@ class SquareSupportReport:
                 f"(regime {self.regime}, {mode}): {status}")
 
 
+def square_support_formula(u2: np.ndarray, r: np.ndarray, regime: int, sign) -> np.ndarray:
+    """(U_theta^2)^sign as a 0/1 (bool) matrix by the middle-arc lemma
+    (module docstring), from the signs u2 of U(G^+-)^2, the digon locator r
+    and the regime of eta: the support depends only on the underlying graph
+    and the digon set."""
+    eps = _sign_value(sign)
+    same = u2 == eps
+    if regime == 1:
+        return same
+    if regime == 2:
+        return same & (r != 0)
+    return np.where(r != 0, same, u2 == -eps)
+
+
 def verify_square_support_formula(g: Digraph, eta: Angle) -> SquareSupportReport:
     """Check the three-regime formula for the squared-walk supports entrywise.
 
@@ -220,16 +259,7 @@ def verify_square_support_formula(g: Digraph, eta: Angle) -> SquareSupportReport
     signs = _power_sign_matrix(g, eta, 2)
     violations: list[tuple[str, int, int]] = []
     for eps in (1, -1):
-        lhs = (signs == eps).astype(np.int64)
-        u2_eps = (u2 == eps).astype(np.int64)
-        u2_meps = (u2 == -eps).astype(np.int64)
-        if regime == 1:
-            rhs = u2_eps
-        elif regime == 2:
-            rhs = u2_eps * r
-        else:
-            rhs = u2_eps * r + u2_meps * (1 - r)
-        diff = np.argwhere(lhs != rhs)
+        diff = np.argwhere((signs == eps) != square_support_formula(u2, r, regime, eps))
         tag = "+" if eps == 1 else "-"
         violations.extend((tag, int(i), int(j)) for i, j in diff)
     return SquareSupportReport(eta, regime, k, precondition_ok,

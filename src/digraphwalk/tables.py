@@ -4,6 +4,9 @@ Digraphs of one order are grouped by exact characteristic polynomial of a
 chosen matrix functor: the 0/1 adjacency matrix, the eta-Hermitian
 adjacency matrix, or the positive support of the squared transfer matrix
 (the arcless digraph is excluded for the latter, which needs an arc space).
+By the middle-arc lemma that support depends only on the underlying graph
+and the digon set, so its keys come from each distinct (underlying graph,
+digon set) pair once, at any rational angle.
 Class counts are split by whether class members are graphs (every arc in a
 digon) or proper digraphs.  One pipeline serves every order: each base
 (underlying graph) is one partition, the adjacency stack of its
@@ -27,11 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .cyclotomic import Angle, make_root
-from .digraph import Digraph, PreconditionError
+from .digraph import Digraph, PreconditionError, arc_space
 from .enumeration import DIGRAPH_CLASS_COUNTS, enumerate_undirected_graphs, orientation_stack
 from .operators import build_H_eta
 from .spectra import charpoly_batch, charpoly_exact, cospectral_key
-from .supports import power_support, sign_data_power
+from .supports import digon_locator, eta_regime, grover_square_signs, square_support_formula
 
 FUNCTORS = ("A", "H", "Heta", "U2plus")
 
@@ -57,14 +60,40 @@ def _hermitian_stack(adj: np.ndarray, eta: Angle) -> np.ndarray:
     return h[..., 0] if eta.order == 2 else h
 
 
-def _square_support(g: Digraph, eta: Angle) -> np.ndarray | None:
-    """0/1 matrix of (U^2)^+ on the arc space; None for the arcless digraph."""
-    if not g.arcs:
-        return None
-    signs = sign_data_power(g, eta, 2)
-    if signs is None:
-        return np.array(power_support(g, eta, 2, "+").data, dtype=bool)
-    return signs == 1
+def _square_support_keys(adj: np.ndarray, eta: Angle) -> list[bytes | None]:
+    """Keys of (U_theta^2)^+ for a (B, n, n) stack of adjacency matrices.
+
+    By the middle-arc lemma (``supports``) the support depends only on the
+    underlying graph and the digon set, so each distinct pair is built once,
+    from the Grover square signs of the graph and the locator of the digon
+    set, and charpolyed once; its key goes to every row of the pair.  The
+    arcless digraph is excluded (None)."""
+    n = adj.shape[1]
+    # one base-3 number per row, a digit per vertex pair: 0 no edge, 1 one-way arc, 2 digon
+    u, v = np.triu_indices(n, 1)
+    dtype = np.int64 if 3 ** len(u) <= 2 ** 63 else object
+    digits = (adj[:, u, v].astype(np.int64) + adj[:, v, u]).astype(dtype)
+    place = np.array([3 ** e for e in range(len(u))], dtype=dtype)
+    _, first, inverse = np.unique(digits @ place, return_index=True, return_inverse=True)
+    regime = eta_regime(eta)
+    signs: dict[bytes, tuple] = {}   # underlying graph -> (arc space, Grover square signs)
+    supports = {}
+    for i, row in enumerate(first.tolist()):
+        code = adj[row].astype(np.int8) + adj[row].T
+        if not code.any():
+            continue
+        graph = (code > 0).tobytes()
+        if graph not in signs:
+            base = _digraph(code)
+            signs[graph] = arc_space(base), grover_square_signs(base)
+        space, u2 = signs[graph]
+        supports[i] = square_support_formula(u2, digon_locator(space, code == 2), regime, "+")
+    keys: list[bytes | None] = [None] * len(first)
+    for dim in {s.shape[0] for s in supports.values()}:
+        idx = [i for i, s in supports.items() if s.shape[0] == dim]
+        for i, coeffs in zip(idx, charpoly_batch(np.stack([supports[i] for i in idx]))):
+            keys[i] = _int_key(coeffs)
+    return [keys[i] for i in inverse.ravel().tolist()]
 
 
 def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[bytes | None]:
@@ -84,13 +113,7 @@ def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[byt
         if eta.order in (2, 4, 6):
             return [_int_key(c) for c in charpoly_batch(_hermitian_stack(adj, eta), eta.order)]
         return [cospectral_key(charpoly_exact(build_H_eta(_digraph(a), eta))) for a in adj]
-    supports = [_square_support(_digraph(a), eta) for a in adj]
-    keys: list[bytes | None] = [None] * len(supports)
-    for dim in {s.shape[0] for s in supports if s is not None}:
-        idx = [i for i, s in enumerate(supports) if s is not None and s.shape[0] == dim]
-        for i, coeffs in zip(idx, charpoly_batch(np.stack([supports[i] for i in idx]))):
-            keys[i] = _int_key(coeffs)
-    return keys
+    return _square_support_keys(adj, eta)
 
 
 def classing_key(g: Digraph, functor: str, eta: Angle | None) -> bytes | None:

@@ -158,6 +158,18 @@ def test_criterion_7_published_tables():
             not mismatches, time.time() - t0, 1800.0)
 
 
+def test_criterion_7_square_support_tables_order_six():
+    t0 = time.time()
+    mismatches = []
+    for table_id in ("U2_pi2", "U2_gt_pi2"):
+        functor, eta = STANDARD_TABLES[table_id]
+        mismatches += verify_against_published(table_id, classify(6, functor, eta))
+    for line in mismatches:
+        print("  MISMATCH:", line)
+    _report(7, "all cells of the two published (U^2)+ tables reproduced, order 6",
+            not mismatches, time.time() - t0, 600.0)
+
+
 def test_criterion_8_half_identification():
     t0 = time.time()
     eta = Angle(2, 3)

@@ -269,6 +269,26 @@ def test_square_signs_exact_on_star_forest():
     assert np.array_equal(np.array(sup.data), (want == 1).astype(np.int64))
 
 
+def test_exact_matmul_routes_equal_python_int_product():
+    from digraphwalk.supports import _exact_matmul
+
+    rng = np.random.default_rng(4242)
+    # (rows, inner, cols, entry bound, route): the float64 route while
+    # inner * max|a| * max|b| < 2**53, Python ints beyond it
+    for rows, inner, cols, high, route in ((9, 7, 5, 50, np.int64),
+                                           (30, 1024, 20, 2 ** 21, np.int64),
+                                           (12, 1024, 10, 2 ** 22, object),
+                                           (6, 8, 3, 2 ** 40, object)):
+        a = rng.integers(-high, high, size=(rows, inner), endpoint=True)
+        b = rng.integers(-high, high, size=(inner, cols), endpoint=True)
+        a[0, 0] = high   # reach the bound
+        want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.tolist())]
+                for row in a.tolist()]
+        got = _exact_matmul(a, b)
+        assert got.dtype == route, (inner, high)
+        assert got.tolist() == want, (inner, high)
+
+
 # -- the middle-arc lemma ----------------------------------------------------
 #
 # Each entry of D_theta U_theta^2 has at most one middle arc, so the

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from digraphwalk.cyclotomic import Angle, CycScalar
@@ -191,6 +192,8 @@ def test_kernel_keys_equal_python_reference_orders_two_to_four():
     cases = [(functor if functor != "H" else "Heta", eta)
              for functor, eta in STANDARD_TABLES.values()]
     cases += [("Heta", Angle(0, 1)), ("Heta", Angle(1, 1))]
+    # regimes 1 and 3 at an irrational cosine: the reference takes the exact OpMatrix power
+    cases += [("U2plus", Angle(2, 5)), ("U2plus", Angle(3, 5))]
     for order in (2, 3, 4):
         for base in enumerate_undirected_graphs(order):
             stack = orientation_stack(base)
@@ -200,6 +203,52 @@ def test_kernel_keys_equal_python_reference_orders_two_to_four():
                 want = [_reference_key(g, functor, eta) for g in graphs]
                 assert keys == want, (order, functor, eta, base)
                 assert [classing_key(g, functor, eta) for g in graphs[::7]] == want[::7]
+
+
+def test_u2_lemma_keys_equal_per_digraph_sign_route_orders_two_to_five():
+    # the keys from (underlying graph, digon set) against the per-digraph
+    # route they replaced: sign_data_power's full products on each digraph
+    # of orientation_stack, charpolyed in one batch per base
+    from digraphwalk.digraph import Digraph, is_graph
+    from digraphwalk.enumeration import orientation_stack
+    from digraphwalk.spectra import charpoly_batch
+    from digraphwalk.supports import sign_data_power
+    from digraphwalk.tables import _bases, _key_partition
+
+    for eta in (Angle(1, 2), Angle(2, 3)):
+        for order in (2, 3, 4, 5):
+            for base, underlying in enumerate(_bases(order)):
+                stack = orientation_stack(underlying)
+                graphs = []
+                for adj in stack:
+                    u, v = np.nonzero(adj)
+                    graphs.append(Digraph(order, frozenset(zip(u.tolist(), v.tolist()))))
+                keyed = [g for g in graphs if g.arcs]
+                want: dict = {}
+                if keyed:
+                    supports = np.stack([sign_data_power(g, eta, 2) == 1 for g in keyed])
+                    for g, coeffs in zip(keyed, charpoly_batch(supports)):
+                        slot = want.setdefault(";".join(str(c) for c in coeffs).encode(), [0, 0])
+                        slot[0] += 1
+                        slot[1] += is_graph(g)
+                got = _key_partition((order, "U2plus", eta, base))
+                assert got == (len(stack), len(graphs) - len(keyed), want), (order, eta, base)
+
+
+def test_u2_keys_of_larger_digraphs_equal_power_support():
+    # 10 vertices have 45 vertex pairs, past the int64 grouping codes
+    import random
+
+    from digraphwalk.spectra import charpoly_int
+    from digraphwalk.supports import power_support
+    from util import random_digraph
+
+    rng = random.Random(97)
+    graphs = [random_digraph(rng, n, 0.3) for n in (7, 10) for _ in range(3)]
+    for eta in (Angle(1, 2), Angle(2, 3)):
+        for g in graphs:
+            want = charpoly_int(power_support(g, eta, 2, "+").rows())
+            assert classing_key(g, "U2plus", eta) == ";".join(str(c) for c in want).encode()
 
 
 # -- parallel split and checkpoint checksum --------------------------------------------
