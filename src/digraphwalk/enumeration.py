@@ -247,13 +247,15 @@ def _base_edges(underlying: Digraph) -> list[tuple[int, int]]:
     return sorted({(min(u, v), max(u, v)) for u, v in underlying.arcs})
 
 
-def _orientation_digits(n: int, edges: list[tuple[int, int]]):
-    """The raw digits of the orientations of the graph with these edges: for
+def digon_set_digits(underlying: Digraph):
+    """The raw digits of the orientations of the (all-digon) graph G: for
     one digon set D per Aut(G)-orbit, yields the (edges,) bool digon mask of
-    D and the (one-way edges, B) direction bits of its B isomorphism classes
-    (module docstring: digon masks minimal under Aut(G), then direction
-    strings minimal under the stabilizer of D).  Bit 1 points an edge from
-    its larger vertex."""
+    D over the sorted (i, j), i < j, edges of G and the (one-way edges, B)
+    direction bits of its B isomorphism classes (module docstring: digon
+    masks minimal under Aut(G), then direction strings minimal under the
+    stabilizer of D).  Bit 1 points an edge from its larger vertex."""
+    n = underlying.n
+    edges = _base_edges(underlying)
     m = len(edges)
     acts = [edge_permutation_action(edges, perm) for perm in automorphisms(edges, n)]
     srcs = np.array([src for src, _ in acts], dtype=np.int64)
@@ -277,7 +279,7 @@ def digon_set_orientations(underlying: Digraph):
     and the classes with that digon set."""
     n = underlying.n
     edges = _base_edges(underlying)
-    for is_digon, bits in _orientation_digits(n, edges):
+    for is_digon, bits in digon_set_digits(underlying):
         digon_edges = tuple(e for e, d in zip(edges, is_digon) if d)
         digon_arcs = [arc for i, j in digon_edges for arc in ((i, j), (j, i))]
         free = [e for e, d in zip(edges, is_digon) if not d]
@@ -296,7 +298,7 @@ def orientation_stack(underlying: Digraph) -> np.ndarray:
     tails = [i for i, _ in edges]
     heads = [j for _, j in edges]
     stacks = []
-    for is_digon, bits in _orientation_digits(n, edges):
+    for is_digon, bits in digon_set_digits(underlying):
         back = np.zeros((len(edges), bits.shape[1]), dtype=bool)
         back[~is_digon] = bits
         digon = is_digon[:, None]
@@ -320,7 +322,8 @@ def enumerate_digraphs(n: int):
     the orientations of each base (underlying graph) in turn.
 
     Orders 2..5 take under a second; order 6 (1 540 944 digraphs) about
-    20 s on one core."""
+    18 s on one core, most of it building one Digraph per class; classing
+    skips that through orientation_stack and digon_set_digits."""
     if n not in DIGRAPH_CLASS_COUNTS:
         raise PreconditionError(f"enumeration supports orders 2..6, got {n}")
     for base in enumerate_undirected_graphs(n):

@@ -5,33 +5,34 @@ chosen matrix functor: the 0/1 adjacency matrix, the eta-Hermitian
 adjacency matrix, or the positive support of the squared transfer matrix
 (the arcless digraph is excluded for the latter, which needs an arc space).
 By the middle-arc lemma that support depends only on the underlying graph
-and the digon set, so its keys come from each distinct (underlying graph,
-digon set) pair once, at any rational angle.
+and the digon set, so it is keyed once per (underlying graph, digon set)
+class, at any rational angle, and its key counts for every orientation of
+the class.
 Class counts are split by whether class members are graphs (every arc in a
 digon) or proper digraphs.  One pipeline serves every order: each base
-(underlying graph) is one partition, the adjacency stack of its
-orientations is keyed (on worker processes if asked) and optionally
-checkpointed to disk, and the partitions are merged; the checkpoints make
-the order-6 run resumable.
+(underlying graph) is one partition, its orientations are keyed (on worker
+processes if asked), and the partitions are merged.  One order-6 column
+(1 540 944 digraphs) takes 13 to 16 s on one core, all six about 90 s.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing as mp
-import struct
-import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 from .cyclotomic import Angle, make_root
-from .digraph import Digraph, PreconditionError, arc_space
-from .enumeration import DIGRAPH_CLASS_COUNTS, enumerate_undirected_graphs, orientation_stack
+from .digraph import Digraph, PreconditionError, arc_space, underlying, underlying_edges
+from .enumeration import (
+    DIGRAPH_CLASS_COUNTS,
+    digon_set_digits,
+    enumerate_undirected_graphs,
+    orientation_stack,
+)
 from .operators import build_H_eta
 from .spectra import charpoly_batch, charpoly_exact, cospectral_key
 from .supports import digon_locator, eta_regime, grover_square_signs, square_support_formula
@@ -60,68 +61,54 @@ def _hermitian_stack(adj: np.ndarray, eta: Angle) -> np.ndarray:
     return h[..., 0] if eta.order == 2 else h
 
 
-def _square_support_keys(adj: np.ndarray, eta: Angle) -> list[bytes | None]:
-    """Keys of (U_theta^2)^+ for a (B, n, n) stack of adjacency matrices.
+def _lemma_keys(base: Digraph, digons: np.ndarray, eta: Angle) -> list[bytes]:
+    """Keys of (U_theta^2)^+ for the digraphs with underlying graph ``base``
+    and the digon sets of a (B, n, n) stack of symmetric 0/1 matrices.
 
-    By the middle-arc lemma (``supports``) the support depends only on the
-    underlying graph and the digon set, so each distinct pair is built once,
-    from the Grover square signs of the graph and the locator of the digon
-    set, and charpolyed once; its key goes to every row of the pair.  The
-    arcless digraph is excluded (None)."""
-    n = adj.shape[1]
-    # one base-3 number per row, a digit per vertex pair: 0 no edge, 1 one-way arc, 2 digon
-    u, v = np.triu_indices(n, 1)
-    dtype = np.int64 if 3 ** len(u) <= 2 ** 63 else object
-    digits = (adj[:, u, v].astype(np.int64) + adj[:, v, u]).astype(dtype)
-    place = np.array([3 ** e for e in range(len(u))], dtype=dtype)
-    _, first, inverse = np.unique(digits @ place, return_index=True, return_inverse=True)
+    By the middle-arc lemma (``supports``) each support comes from the
+    Grover square signs of the base and the locator of the digon set; all
+    have dimension 2m, so one charpoly_batch call keys them all."""
+    space = arc_space(base)
+    u2 = grover_square_signs(base)
     regime = eta_regime(eta)
-    signs: dict[bytes, tuple] = {}   # underlying graph -> (arc space, Grover square signs)
-    supports = {}
-    for i, row in enumerate(first.tolist()):
-        code = adj[row].astype(np.int8) + adj[row].T
-        if not code.any():
-            continue
-        graph = (code > 0).tobytes()
-        if graph not in signs:
-            base = _digraph(code)
-            signs[graph] = arc_space(base), grover_square_signs(base)
-        space, u2 = signs[graph]
-        supports[i] = square_support_formula(u2, digon_locator(space, code == 2), regime, "+")
-    keys: list[bytes | None] = [None] * len(first)
-    for dim in {s.shape[0] for s in supports.values()}:
-        idx = [i for i, s in supports.items() if s.shape[0] == dim]
-        for i, coeffs in zip(idx, charpoly_batch(np.stack([supports[i] for i in idx]))):
-            keys[i] = _int_key(coeffs)
-    return [keys[i] for i in inverse.ravel().tolist()]
+    supports = np.stack([square_support_formula(u2, digon_locator(space, d), regime, "+")
+                         for d in digons])
+    return [_int_key(c) for c in charpoly_batch(supports)]
 
 
-def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[bytes | None]:
-    """Canonical charpoly keys of functor(g) for a (B, n, n) stack of 0/1
-    adjacency matrices; None where g is excluded.  Every integer and
-    quadratic-field charpoly comes from one charpoly_batch call per matrix
-    dimension."""
+def _checked_functor(functor: str, eta: Angle | None) -> tuple[str, Angle | None]:
+    """The functor and angle to key by: H is H_eta at pi/2."""
     if functor == "H":
-        functor, eta = "Heta", Angle(1, 2)
+        return "Heta", Angle(1, 2)
     if functor not in FUNCTORS:
         raise PreconditionError(f"unsupported functor {functor!r}; pick one of {FUNCTORS}")
     if functor != "A" and eta is None:
         raise PreconditionError(f"{functor} classing needs an angle")
+    return functor, eta
+
+
+def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[bytes]:
+    """Canonical charpoly keys of functor(g), A or H_eta, for a (B, n, n)
+    stack of 0/1 adjacency matrices.  Every integer and quadratic-field
+    charpoly comes from one charpoly_batch call."""
     if functor == "A":
         return [_int_key(c) for c in charpoly_batch(adj)]
-    if functor == "Heta":
-        if eta.order in (2, 4, 6):
-            return [_int_key(c) for c in charpoly_batch(_hermitian_stack(adj, eta), eta.order)]
-        return [cospectral_key(charpoly_exact(build_H_eta(_digraph(a), eta))) for a in adj]
-    return _square_support_keys(adj, eta)
+    if eta.order in (2, 4, 6):
+        return [_int_key(c) for c in charpoly_batch(_hermitian_stack(adj, eta), eta.order)]
+    return [cospectral_key(charpoly_exact(build_H_eta(_digraph(a), eta))) for a in adj]
 
 
 def classing_key(g: Digraph, functor: str, eta: Angle | None) -> bytes | None:
     """Canonical charpoly key of functor(g); None when g is excluded."""
-    adj = np.zeros((1, g.n, g.n), dtype=np.int64)
+    functor, eta = _checked_functor(functor, eta)
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.arcs:
-        adj[0, u, v] = 1
-    return _classing_keys(adj, functor, eta)[0]
+        adj[u, v] = 1
+    if functor != "U2plus":
+        return _classing_keys(adj[None], functor, eta)[0]
+    if not g.arcs:
+        return None
+    return _lemma_keys(underlying(g), (adj & adj.T)[None], eta)[0]
 
 
 @dataclass(frozen=True)
@@ -202,22 +189,33 @@ def _bases(order: int) -> tuple[Digraph, ...]:
 def _key_partition(task):
     """(digraphs, excluded, {key: [class size, graphs in class]}) for the
     orientations of one base; task = (order, functor, eta, index of the base
-    in _bases(order))."""
-    order, functor, eta, base = task
-    stack = orientation_stack(_bases(order)[base])
+    in _bases(order)), the functor as _checked_functor returns it.  A and
+    H_eta key every orientation; U2plus keys each digon-set class once and
+    counts its key for all of its orientations."""
+    order, functor, eta, index = task
+    base = _bases(order)[index]
     classes: dict = {}
-    n_excluded = 0
+    if functor == "U2plus":
+        if not base.arcs:
+            return 1, 1, classes          # the arcless digraph is excluded
+        digits = list(digon_set_digits(base))
+        u, v = np.array(underlying_edges(base)).T
+        digons = np.zeros((len(digits), order, order), dtype=np.int64)
+        digons[:, u, v] = digons[:, v, u] = [is_digon for is_digon, _ in digits]
+        for key, (is_digon, bits) in zip(_lemma_keys(base, digons, eta), digits):
+            slot = classes.setdefault(key, [0, 0])
+            slot[0] += bits.shape[1]
+            slot[1] += bool(is_digon.all())   # D = E: the one orientation is the graph
+        return sum(count for count, _ in classes.values()), 0, classes
+    stack = orientation_stack(base)
     for first in range(0, len(stack), _KEY_BLOCK):
         adj = stack[first:first + _KEY_BLOCK]
         graphs = (adj == np.swapaxes(adj, 1, 2)).all(axis=(1, 2)).tolist()
         for key, graph in zip(_classing_keys(adj, functor, eta), graphs):
-            if key is None:
-                n_excluded += 1
-                continue
             slot = classes.setdefault(key, [0, 0])
             slot[0] += 1
             slot[1] += graph
-    return len(stack), n_excluded, classes
+    return len(stack), 0, classes
 
 
 def _fold(results):
@@ -234,49 +232,30 @@ def _fold(results):
     return n_total, n_excluded, classes
 
 
-def _keyed_partitions(todo: dict, jobs: int, ckdir: Path | None):
-    """Key each partition of ``todo`` (index -> task) once, on a pool of
-    ``jobs`` workers when there is more than one, and write it to the
-    checkpoint directory if there is one."""
-    if jobs > 1 and len(todo) > 1:
-        # the platform's default start method: "spawn" would re-import the
-        # caller's __main__ in every worker, which fails (and respawns
-        # without end) for scripts read from stdin
-        pool = mp.Pool(min(jobs, len(todo)))
-        keyed = pool.imap(_key_partition, todo.values())
-    else:
-        pool = nullcontext()
-        keyed = map(_key_partition, todo.values())
-    with pool:
-        for part, result in zip(todo, keyed):
-            if ckdir is not None:
-                _write_partition(ckdir, part, result)
-            yield result
-
-
-def classify(order: int, functor: str, eta: Angle | None = None, jobs: int = 1,
-             checkpoint: str | Path | None = None) -> CospectralTable:
+def classify(order: int, functor: str, eta: Angle | None = None,
+             jobs: int = 1) -> CospectralTable:
     """Group all digraphs of one order by exact charpoly of the functor.
 
     Each base (underlying graph) of the order is one partition, its
     orientations keyed once: in this process when ``jobs`` is 1, on ``jobs``
-    worker processes otherwise.  With a ``checkpoint`` directory every keyed
-    partition is written there and partitions already there are read back
-    instead, so an interrupted run resumes where it stopped.  The result
-    depends on neither jobs nor the resume point."""
+    worker processes otherwise; the result does not depend on jobs.  One
+    order-6 column takes 13 to 16 s with one job and about half that with
+    two."""
     if order not in DIGRAPH_CLASS_COUNTS:
         raise PreconditionError(f"classing supports orders 2..6, got {order}")
-    todo = {base: (order, functor, eta, base) for base in range(len(_bases(order)))}
-    ckdir = None if checkpoint is None else Path(checkpoint)
-    stored: list[int] = []
-    if ckdir is not None:
-        _open_checkpoint(ckdir, order, functor, eta, len(todo))
-        stored = [part for part in todo if _partition_path(ckdir, part).exists()]
-        for part in stored:
-            del todo[part]
-    partitions = chain((_read_partition(ckdir, part) for part in stored),
-                       _keyed_partitions(todo, jobs, ckdir))
-    return _table_from_classes(order, functor, eta, *_fold(partitions))
+    tasks = [(order, *_checked_functor(functor, eta), index)
+             for index in range(len(_bases(order)))]
+    if jobs > 1:
+        # the platform's default start method: "spawn" would re-import the
+        # caller's __main__ in every worker, which fails (and respawns
+        # without end) for scripts read from stdin
+        pool = mp.Pool(min(jobs, len(tasks)))
+        keyed = pool.imap(_key_partition, tasks)
+    else:
+        pool = nullcontext()
+        keyed = map(_key_partition, tasks)
+    with pool:
+        return _table_from_classes(order, functor, eta, *_fold(keyed))
 
 
 # -- standard table set -------------------------------------------------------
@@ -384,72 +363,3 @@ def emit_table(tables, fmt: str = "markdown") -> str:
             lines.append(f"| {label} | " + " | ".join(str(v) for v in vals) + " |")
         return "\n".join(lines) + "\n"
     raise PreconditionError(f"unknown format {fmt!r}; pick csv, json or markdown")
-
-
-# -- checkpoint files -------------------------------------------------------------
-
-# Version of the checkpoint format; raise it whenever a key for the same
-# digraph or the layout of a partition file changes, so that partitions
-# written under the old format are refused.  2: a CRC32 ends each partition.
-# 3: one partition per base.
-KEY_FORMAT = 3
-
-
-def _open_checkpoint(ckdir: Path, order, functor, eta, n_parts):
-    """Create the directory, or refuse it when its meta.json records another run."""
-    ckdir.mkdir(parents=True, exist_ok=True)
-    meta_path = ckdir / "meta.json"
-    meta = {
-        "order": order, "functor": functor,
-        "eta": str(eta) if eta else None,
-        "partitions": n_parts,
-        "key_format": KEY_FORMAT,
-    }
-    if meta_path.exists():
-        try:
-            old = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"checkpoint {meta_path} is unreadable: {exc}") from exc
-        if old != meta:
-            raise PreconditionError(f"checkpoint directory {ckdir} holds a different run: {old}")
-    else:
-        meta_path.write_text(json.dumps(meta))
-
-
-def _partition_path(ckdir: Path, part: int) -> Path:
-    return ckdir / f"part-{part:06d}.bin"
-
-
-def _write_partition(ckdir: Path, part: int, result):
-    """Header (digraphs, excluded), one record per class, then the CRC32 of
-    everything before it."""
-    n_total, n_excluded, classes = result
-    body = [struct.pack(">QQ", n_total, n_excluded)]
-    for key, (count, graphs) in sorted(classes.items()):
-        body.append(struct.pack(">I", len(key)) + key + struct.pack(">QQ", count, graphs))
-    body = b"".join(body)
-    path = _partition_path(ckdir, part)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(body + struct.pack(">I", zlib.crc32(body)))
-    tmp.rename(path)
-
-
-def _read_partition(ckdir: Path, part: int):
-    path = _partition_path(ckdir, part)
-    where = f"checkpoint partition {part} ({path})"
-    data = path.read_bytes()
-    body = data[:-4]
-    if len(data) < 20 or struct.unpack(">I", data[-4:])[0] != zlib.crc32(body):
-        raise PreconditionError(f"{where}: truncated or corrupt (checksum mismatch)")
-    classes = {}
-    try:
-        n_total, n_excluded = struct.unpack_from(">QQ", body)
-        pos = 16
-        while pos < len(body):
-            klen = struct.unpack_from(">I", body, pos)[0]
-            key = body[pos + 4:pos + 4 + klen]
-            classes[key] = list(struct.unpack_from(">QQ", body, pos + 4 + klen))
-            pos += 20 + klen
-    except struct.error as exc:
-        raise PreconditionError(f"{where}: malformed record") from exc
-    return n_total, n_excluded, classes

@@ -1,7 +1,6 @@
 import json
 
 from digraphwalk.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
-from digraphwalk.tables import STANDARD_TABLES
 
 from util import FIG_ARCS
 
@@ -99,10 +98,16 @@ def test_tables_verify_small(capsys):
     assert "verified against published values" in err
 
 
-def test_tables_order_six_guarded(capsys):
-    code, _, err = run(capsys, "tables", "--order", "6", "--table", "H")
-    assert code == EXIT_PRECONDITION
-    assert "long-run" in err
+def test_tables_order_past_six_refused_before_classing(capsys, monkeypatch):
+    import digraphwalk.cli as cli
+
+    def classify(*args, **kwargs):
+        raise AssertionError("classify called before the order range was checked")
+
+    monkeypatch.setattr(cli, "classify", classify)
+    code, out, err = run(capsys, "tables", "--order", "6-7", "--table", "A")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "[7]" in err and len(err.strip().splitlines()) == 1
 
 
 def test_tables_descending_order_range_is_parse_error(capsys):
@@ -124,42 +129,6 @@ def test_tables_functor_override(capsys, tmp_path):
                      "--eta", "1/3", "--format", "csv", "--output", str(out_file))
     assert code == EXIT_OK
     assert out_file.read_text().splitlines()[1] == '"Number of digraphs",3'
-
-
-def test_tables_checkpoint_per_table_and_resume(capsys, tmp_path):
-    ck = tmp_path / "ck"
-    argv = ("tables", "--order", "3", "--table", "all", "--checkpoint", str(ck),
-            "--verify-paper")
-    code, first, _ = run(capsys, *argv)
-    assert code == EXIT_OK
-    for table_id in STANDARD_TABLES:
-        assert list((ck / table_id / "order-3").glob("part-*.bin"))
-    code, again, _ = run(capsys, *argv)
-    assert code == EXIT_OK and again == first
-
-
-def test_tables_checkpoint_of_other_run_is_one_line_error(capsys, tmp_path):
-    ck = str(tmp_path / "ck")
-    code, _, _ = run(capsys, "tables", "--order", "2", "--functor", "Heta", "--eta", "1/3",
-                     "--checkpoint", ck)
-    assert code == EXIT_OK
-    code, _, err = run(capsys, "tables", "--order", "2", "--functor", "Heta", "--eta", "2/3",
-                       "--checkpoint", ck)
-    assert code == EXIT_PRECONDITION
-    assert "different run" in err and len(err.strip().splitlines()) == 1
-
-
-def test_tables_checkpoint_of_older_key_format_is_one_line_error(capsys, tmp_path):
-    run_dir = tmp_path / "ck" / "A" / "order-3"
-    run_dir.mkdir(parents=True)
-    # meta.json as written under KEY_FORMAT 2, which cut the code space into chunks
-    (run_dir / "meta.json").write_text(json.dumps({
-        "order": 3, "functor": "A", "eta": None, "chunk": 1 << 22, "partitions": 1,
-        "key_format": 2}))
-    code, out, err = run(capsys, "tables", "--order", "3", "--table", "A",
-                         "--checkpoint", str(tmp_path / "ck"))
-    assert code == EXIT_PRECONDITION and out == ""
-    assert "different run" in err and len(err.strip().splitlines()) == 1
 
 
 def test_tables_mismatch_exit_code(capsys, monkeypatch):
@@ -202,16 +171,3 @@ def test_float_eta_escape_hatch(capsys):
     assert code == EXIT_OK and "floating angle" in out
     assert run(capsys, "build", "--family", "K 3", "--float-eta", "0.7",
                "--ops", "K")[0] == EXIT_PARSE
-
-
-def test_tables_corrupt_partition_is_one_line_error(capsys, tmp_path):
-    ck = tmp_path / "ck"
-    code, _, _ = run(capsys, "tables", "--order", "3", "--table", "A", "--checkpoint", str(ck))
-    assert code == EXIT_OK
-    part = next((ck / "A" / "order-3").glob("part-*.bin"))
-    data = bytearray(part.read_bytes())
-    data[-10] ^= 0xFF
-    part.write_bytes(bytes(data))
-    code, out, err = run(capsys, "tables", "--order", "3", "--table", "A", "--checkpoint", str(ck))
-    assert code == EXIT_PRECONDITION and out == ""
-    assert "checksum" in err and len(err.strip().splitlines()) == 1

@@ -72,9 +72,8 @@ def test_unknown_functor_rejected():
 
 
 def test_parallel_classing_matches_serial():
-    serial = classify(4, "H", Angle(1, 2))
-    parallel = classify(4, "H", Angle(1, 2), jobs=2)
-    assert serial == parallel
+    for functor, eta in STANDARD_TABLES.values():
+        assert classify(4, functor, eta, jobs=2) == classify(4, functor, eta), (functor, eta)
 
 
 def test_emit_formats():
@@ -98,59 +97,6 @@ def test_emit_empty_is_header_only():
     assert emit_table([], "csv").strip() == ","
     md = emit_table([], "markdown")
     assert md.splitlines()[0].startswith("|")
-
-
-def test_checkpointed_classify_matches_direct(tmp_path):
-    direct = classify(3, "U2plus", Angle(1, 2))
-    ck = classify(3, "U2plus", Angle(1, 2), checkpoint=tmp_path / "run")
-    assert ck == direct
-    parts = sorted(p.name for p in (tmp_path / "run").glob("part-*.bin"))
-    assert len(parts) == 4   # one per base of order 3
-    # resume after deleting one partition: identical result
-    (tmp_path / "run" / parts[1]).unlink()
-    again = classify(3, "U2plus", Angle(1, 2), checkpoint=tmp_path / "run")
-    assert again == direct
-
-
-def test_parallel_checkpoint_resume_matches_serial(tmp_path):
-    serial = classify(4, "Heta", Angle(1, 3))
-    run = tmp_path / "run"
-    assert classify(4, "Heta", Angle(1, 3), jobs=2, checkpoint=run) == serial
-    parts = sorted(run.glob("part-*.bin"))
-    assert len(parts) == 11   # one per base of order 4
-    for victim in parts[::3]:
-        victim.unlink()
-    assert classify(4, "Heta", Angle(1, 3), jobs=2, checkpoint=run) == serial
-    assert not list(run.glob("*.tmp"))
-
-
-def test_checkpoint_corruption_reported(tmp_path):
-    classify(2, "A", None, checkpoint=tmp_path / "run")
-    parts = sorted((tmp_path / "run").glob("part-*.bin"))
-    assert len(parts) == 2   # one per base of order 2
-    victim = parts[1]
-    victim.write_bytes(victim.read_bytes()[:9])
-    with pytest.raises(ValueError, match="partition 1"):
-        classify(2, "A", None, checkpoint=tmp_path / "run")
-
-
-def test_checkpoint_dir_guards_run_identity(tmp_path):
-    classify(2, "A", None, checkpoint=tmp_path / "run")
-    with pytest.raises(ValueError, match="different run"):
-        classify(2, "H", Angle(1, 2), checkpoint=tmp_path / "run")
-
-
-def test_checkpoint_without_key_format_rejected(tmp_path):
-    run = tmp_path / "run"
-    classify(2, "A", None, checkpoint=run)
-    meta = json.loads((run / "meta.json").read_text())
-    del meta["key_format"]
-    (run / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(PreconditionError, match="different run"):
-        classify(2, "A", None, checkpoint=run)
-    (run / "meta.json").write_text("{")
-    with pytest.raises(PreconditionError, match="unreadable"):
-        classify(2, "A", None, checkpoint=run)
 
 
 # -- kernel keys against the exact Python routes -------------------------------------
@@ -199,44 +145,70 @@ def test_kernel_keys_equal_python_reference_orders_two_to_four():
             stack = orientation_stack(base)
             graphs = list(orientations_up_to_iso(base))
             for functor, eta in cases:
-                keys = _classing_keys(stack, functor, eta)
                 want = [_reference_key(g, functor, eta) for g in graphs]
-                assert keys == want, (order, functor, eta, base)
+                if functor == "U2plus":
+                    # the stack route keys digon-set classes (next test); this is every digraph
+                    assert [classing_key(g, functor, eta) for g in graphs] == want, (
+                        order, eta, base)
+                    continue
+                assert _classing_keys(stack, functor, eta) == want, (order, functor, eta, base)
                 assert [classing_key(g, functor, eta) for g in graphs[::7]] == want[::7]
 
 
 def test_u2_lemma_keys_equal_per_digraph_sign_route_orders_two_to_five():
     # the keys from (underlying graph, digon set) against the per-digraph
-    # route they replaced: sign_data_power's full products on each digraph
-    # of orientation_stack, charpolyed in one batch per base
+    # route they replaced: the defining signs of D_theta U_theta^2 on each
+    # digraph of orientation_stack (sign_data_power's full products, or the
+    # exact OpMatrix power at an irrational cosine), charpolyed in one batch
+    # per base; one angle in each of the three regimes
     from digraphwalk.digraph import Digraph, is_graph
     from digraphwalk.enumeration import orientation_stack
     from digraphwalk.spectra import charpoly_batch
-    from digraphwalk.supports import sign_data_power
+    from digraphwalk.supports import _power_sign_matrix
     from digraphwalk.tables import _bases, _key_partition
 
-    for eta in (Angle(1, 2), Angle(2, 3)):
+    runs = [(eta, order) for eta in (Angle(1, 2), Angle(2, 3)) for order in (2, 3, 4, 5)]
+    runs += [(eta, order) for eta in (Angle(1, 3), Angle(3, 5)) for order in (2, 3, 4)]
+    for eta, order in runs:
+        for base, underlying in enumerate(_bases(order)):
+            stack = orientation_stack(underlying)
+            graphs = []
+            for adj in stack:
+                u, v = np.nonzero(adj)
+                graphs.append(Digraph(order, frozenset(zip(u.tolist(), v.tolist()))))
+            keyed = [g for g in graphs if g.arcs]
+            want: dict = {}
+            if keyed:
+                supports = np.stack([_power_sign_matrix(g, eta, 2) == 1 for g in keyed])
+                for g, coeffs in zip(keyed, charpoly_batch(supports)):
+                    slot = want.setdefault(";".join(str(c) for c in coeffs).encode(), [0, 0])
+                    slot[0] += 1
+                    slot[1] += is_graph(g)
+            got = _key_partition((order, "U2plus", eta, base))
+            assert got == (len(stack), len(graphs) - len(keyed), want), (order, eta, base)
+
+
+def test_u2_tables_depend_only_on_the_regime_orders_two_to_five():
+    from digraphwalk.tables import _bases
+
+    # one table serves every angle in (pi/2, pi): the published 2pi/3 column
+    for eta in (Angle(3, 5), Angle(5, 6)):
         for order in (2, 3, 4, 5):
-            for base, underlying in enumerate(_bases(order)):
-                stack = orientation_stack(underlying)
-                graphs = []
-                for adj in stack:
-                    u, v = np.nonzero(adj)
-                    graphs.append(Digraph(order, frozenset(zip(u.tolist(), v.tolist()))))
-                keyed = [g for g in graphs if g.arcs]
-                want: dict = {}
-                if keyed:
-                    supports = np.stack([sign_data_power(g, eta, 2) == 1 for g in keyed])
-                    for g, coeffs in zip(keyed, charpoly_batch(supports)):
-                        slot = want.setdefault(";".join(str(c) for c in coeffs).encode(), [0, 0])
-                        slot[0] += 1
-                        slot[1] += is_graph(g)
-                got = _key_partition((order, "U2plus", eta, base))
-                assert got == (len(stack), len(graphs) - len(keyed), want), (order, eta, base)
+            t = classify(order, "U2plus", eta)
+            assert t.row_values() == PUBLISHED_CELLS["U2_gt_pi2"][order], (eta, order)
+    # below pi/2 the support ignores the digon set: every digraph is
+    # U^2-cospectral with its underlying graph, so each class holds a graph
+    # and the classes are the bases grouped by key
+    for eta in (Angle(1, 3), Angle(2, 5)):
+        for order in (2, 3, 4, 5):
+            t = classify(order, "U2plus", eta)
+            keys = {classing_key(base, "U2plus", eta) for base in _bases(order) if base.arcs}
+            assert t.classes_no_graph == 0 and t.n_distinct == len(keys), (eta, order)
+        assert t.n_distinct == 32
 
 
 def test_u2_keys_of_larger_digraphs_equal_power_support():
-    # 10 vertices have 45 vertex pairs, past the int64 grouping codes
+    # the single-digraph lemma route past the orders of the tables
     import random
 
     from digraphwalk.spectra import charpoly_int
@@ -251,7 +223,7 @@ def test_u2_keys_of_larger_digraphs_equal_power_support():
             assert classing_key(g, "U2plus", eta) == ";".join(str(c) for c in want).encode()
 
 
-# -- parallel split and checkpoint checksum --------------------------------------------
+# -- parallel split --------------------------------------------------------------------------
 
 
 def test_jobs_send_one_distinct_task_per_base(monkeypatch):
@@ -280,22 +252,3 @@ def test_jobs_send_one_distinct_task_per_base(monkeypatch):
     assert sorted(task[3] for task in seen) == list(range(11))   # the bases of order 4
 
 
-def test_checkpoint_of_jobs_two_resumes_with_jobs_one(tmp_path):
-    serial = classify(4, "U2plus", Angle(1, 2))
-    two, one = tmp_path / "two", tmp_path / "one"
-    assert classify(4, "U2plus", Angle(1, 2), jobs=2, checkpoint=two) == serial
-    assert classify(4, "U2plus", Angle(1, 2), checkpoint=one) == serial
-    assert (two / "meta.json").read_text() == (one / "meta.json").read_text()
-    assert (two / "part-000000.bin").read_bytes() == (one / "part-000000.bin").read_bytes()
-    assert classify(4, "U2plus", Angle(1, 2), checkpoint=two) == serial
-
-
-def test_checkpoint_checksum_catches_a_flipped_key_byte(tmp_path):
-    run = tmp_path / "run"
-    classify(3, "A", None, checkpoint=run)
-    part = run / "part-000000.bin"
-    data = bytearray(part.read_bytes())
-    data[16 + 4] ^= 0x01          # first byte of the first key: "1" becomes "0"
-    part.write_bytes(bytes(data))
-    with pytest.raises(PreconditionError, match="partition 0.*checksum"):
-        classify(3, "A", None, checkpoint=run)
