@@ -57,10 +57,6 @@ def digons(g: Digraph) -> set[tuple[int, int]]:
     return {(min(u, v), max(u, v)) for u, v in g.arcs if (v, u) in g.arcs}
 
 
-def one_way_arcs(g: Digraph) -> set[tuple[int, int]]:
-    return {(u, v) for u, v in g.arcs if (v, u) not in g.arcs}
-
-
 def underlying_edges(g: Digraph) -> list[tuple[int, int]]:
     """Sorted (min,max) edge list of G^+-."""
     return sorted({(min(u, v), max(u, v)) for u, v in g.arcs})

@@ -3,17 +3,20 @@ spectral map between discriminant and transfer-matrix spectra.
 
 Characteristic polynomials are computed division-free (Berkowitz), so
 integer inputs give integer coefficients and cyclotomic inputs stay in the
-field.  Integer matrices, and Hermitian matrices over Z[zeta_4] and
-Z[zeta_6], go through one batched kernel, ``charpoly_batch``: Berkowitz on a
-numpy int64 stack of residues modulo primes p < 2^28, the integers rebuilt
-by symmetric CRT.  It is exact by two bounds.  Hadamard's bound gives
-|c_k| <= C(n, k) * (sqrt(k) * a)^k for entries of modulus at most a, and the
-kernel takes primes until their product exceeds twice the largest of these
-(falling back to Python integers when its list runs out).  Every int64 sum
-it forms has at most n + 1 <= 65 products of residues below 2^28, so it stays
-below 2^63 for n <= 64.  Each prime is 1 (mod 12), so zeta_4 and zeta_6 map
-to roots of their cyclotomic polynomials mod p; a Hermitian charpoly over
-those rings has integer coefficients, which the residues then determine.
+field.  Stacks of integer matrices go through one batched kernel:
+Berkowitz on a numpy int64 stack of residues modulo primes p < 2^28, the
+integers rebuilt by symmetric CRT.  It is exact by two bounds.  Hadamard's
+bound gives |c_k| <= C(n, k) * (sqrt(k) * a)^k for entries of modulus at
+most a, and the kernel takes primes until their product exceeds twice the
+largest of these (falling back to Python integers when its list runs out).
+Every int64 sum it forms has at most n + 1 <= 65 products of residues below
+2^28, so it stays below 2^63 for n <= 64.  ``charpoly_batch`` reduces an
+integer stack into it; ``hermitian_charpoly_batch`` feeds it H_eta at
+angles of order 2, 4 and 6 from a 0/1 adjacency stack, each entry read from
+a four-entry residue table per prime.  Each prime is 1 (mod 12), so zeta_4
+and zeta_6 map to roots of their cyclotomic polynomials mod p; a Hermitian
+charpoly over those rings has integer coefficients, which the residues then
+determine.
 The transfer-matrix spectrum is assembled from the discriminant
 spectrum through phi(z) = (z + 1/z)/2 together with the exact +-1
 multiplicities from the closed-path classification; a dense complex
@@ -30,7 +33,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar, cyclotomic_polynomial
+from .cyclotomic import Angle, CycScalar
 from .cycles import classify_cycles
 from .digraph import Digraph, PreconditionError, arc_space, weakly_connected
 from .operators import OpMatrix, build_H_tilde, build_U_theta
@@ -177,85 +180,94 @@ def _symmetric_crt(res: np.ndarray, primes) -> list[list[int]]:
     return np.where(value > modulus // 2, value - modulus, value).tolist()
 
 
-def _hermitian_pair_check(a: np.ndarray, b: np.ndarray, t: int):
-    """Raise unless a + b*zeta is exactly Hermitian, conj(zeta) = t - zeta."""
-    at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-    if not (np.array_equal(at, a + t * b) and np.array_equal(bt, -b)):
-        raise ArithmeticError("pair matrix is not Hermitian: its charpoly need not be real")
-
-
-def charpoly_batch(stack, order: int = 2) -> list[list[int]]:
-    """Exact characteristic polynomials of a stack of matrices, each highest
-    degree first, as Python ints.
-
-    ``stack`` is (B, n, n) and integer for ``order`` 2.  For ``order`` 4 or 6
-    it is (B, n, n, 2), the pairs (a, b) standing for a + b*zeta_order, and
-    must be exactly Hermitian, so that every coefficient is an integer.
-
-    Division-free Berkowitz runs on the whole stack modulo as many of
-    CHARPOLY_PRIMES as Hadamard's bound asks for, and the coefficients are
-    rebuilt by symmetric CRT.  Each prime is 1 (mod 12), so zeta maps to a
-    root r of its cyclotomic polynomial mod p and a + b*zeta to a + r*b; the
-    map is a ring homomorphism that fixes the integer coefficients.  Where
-    the bound needs more primes than the list has, or n exceeds
-    MAX_CHARPOLY_DIM, the coefficients come from berkowitz_charpoly over
-    exact Python ints (cyclotomic scalars for pairs) instead."""
-    stack = np.asarray(stack)
-    if order not in (2, 4, 6):
-        raise PreconditionError(f"charpoly kernel covers orders 2, 4 and 6, got {order}")
-    pairs = order != 2
-    if stack.ndim != 3 + pairs or stack.shape[1] != stack.shape[2] or (
-            pairs and stack.shape[3] != 2):
-        raise PreconditionError(f"expected a stack of square {'pair ' if pairs else ''}"
-                                f"matrices, got shape {stack.shape}")
-    if stack.dtype.kind not in "biuO":
-        raise PreconditionError(f"charpoly kernel takes integer entries, got {stack.dtype}")
-    n = stack.shape[1]
-    if stack.shape[0] == 0 or n == 0:
-        return [[1] for _ in range(stack.shape[0])]
-    wide = stack.dtype == object or (stack.dtype.kind == "u" and stack.dtype.itemsize == 8)
-    a, b = (stack[..., 0], stack[..., 1]) if pairs else (stack, None)
-    a_max = max(int(a.max()), -int(a.min()))
-    if pairs:
-        if not wide:
-            a, b = a.astype(np.int64), b.astype(np.int64)
-        t = -cyclotomic_polynomial(order)[1]   # zeta + conj(zeta)
-        _hermitian_pair_check(a, b, t)
-        # |a + b zeta|^2 = a^2 + t a b + b^2
-        b_max = max(int(b.max()), -int(b.min()))
-        norm2 = a_max * a_max + t * a_max * b_max + b_max * b_max
-    else:
-        norm2 = a_max * a_max
-    count = None if wide or n > MAX_CHARPOLY_DIM else _prime_count(n, norm2)
-    if count is None:
-        return _charpoly_exact_ints(a, b, order)
+def _charpoly_mod(stack: np.ndarray, count: int, residues) -> list[list[int]]:
+    """Charpolys of a (B, n, n) stack, n >= 1, modulo the first ``count``
+    primes, rebuilt by symmetric CRT; ``residues(chunk, pk)`` gives the
+    (P, b, n, n) residues of at most _KERNEL_ENTRIES of them at a time."""
     primes = np.array(CHARPOLY_PRIMES[:count], dtype=np.int64)
-    pk = primes[:, None, None, None]
-    roots = _roots_of_unity(order, count)[:, None, None, None] if pairs else None
     out: list[list[int]] = []
-    # bound the working set: the residues of at most _KERNEL_ENTRIES entries at a time
-    step = max(1, _KERNEL_ENTRIES // (count * n * n))
-    for lo in range(0, len(a), step):
-        res = a[None, lo:lo + step].astype(np.int64) % pk
-        if pairs:
-            res = (res + roots * (b[None, lo:lo + step] % pk)) % pk
+    step = max(1, _KERNEL_ENTRIES // (count * stack.shape[1] ** 2))
+    for lo in range(0, len(stack), step):
+        res = residues(stack[lo:lo + step], primes[:, None, None, None])
         out.extend(_symmetric_crt(_berkowitz_mod(res, primes), CHARPOLY_PRIMES[:count]))
     return out
 
 
-def _charpoly_exact_ints(a, b, order: int) -> list[list[int]]:
-    """The kernel's fallback: berkowitz_charpoly over exact Python ints, or
-    over cyclotomic scalars for pair stacks."""
+def charpoly_batch(stack) -> list[list[int]]:
+    """Exact characteristic polynomials of a (B, n, n) stack of integer
+    matrices, each highest degree first, as Python ints.
+
+    Division-free Berkowitz runs on the whole stack modulo as many of
+    CHARPOLY_PRIMES as Hadamard's bound asks for, and the coefficients are
+    rebuilt by symmetric CRT.  Where the bound needs more primes than the
+    list has, or n exceeds MAX_CHARPOLY_DIM, the coefficients come from
+    berkowitz_charpoly over exact Python ints instead."""
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise PreconditionError(f"expected a stack of square matrices, got shape {stack.shape}")
+    if stack.dtype.kind not in "biuO":
+        raise PreconditionError(f"charpoly kernel takes integer entries, got {stack.dtype}")
+    n = stack.shape[1]
+    if stack.size == 0:
+        return [[1] for _ in range(stack.shape[0])]
+    wide = stack.dtype == object or (stack.dtype.kind == "u" and stack.dtype.itemsize == 8)
+    a_max = max(int(stack.max()), -int(stack.min()))
+    count = None if wide or n > MAX_CHARPOLY_DIM else _prime_count(n, a_max * a_max)
+    if count is None:
+        return [berkowitz_charpoly([[int(x) for x in row] for row in mat], 1, 0)
+                for mat in stack.tolist()]
+    return _charpoly_mod(stack, count, lambda chunk, pk: chunk.astype(np.int64) % pk)
+
+
+@lru_cache(maxsize=None)
+def _residue_table(table: tuple[CycScalar, ...], count: int) -> np.ndarray:
+    """The (count, 4) residues of a code table with entries in Z[zeta_m],
+    m dividing 12, modulo the first ``count`` primes.
+
+    Transposing a code stack swaps codes 1 and 2 and fixes 0 and 3, so
+    every matrix read from the table is Hermitian exactly when entry 2 is
+    the conjugate of entry 1 and entries 0 and 3 are real: checked here,
+    exactly, once per table.  zeta_m goes to a root r of its cyclotomic
+    polynomial mod p, a ring homomorphism, so sum c_j zeta^j goes to
+    sum c_j r^j and a charpoly's integer coefficients keep their residues."""
+    zero, fwd, bwd, digon = table
+    if bwd != fwd.conj() or not (zero.imag_is_zero() and digon.imag_is_zero()):
+        raise ArithmeticError("code table is not Hermitian: its charpolys need not be real")
+    roots = _roots_of_unity(fwd.m, count).tolist()
+    return np.array([[sum(c * pow(r, j, p) for j, c in enumerate(x.num)) % p for x in table]
+                     for p, r in zip(CHARPOLY_PRIMES, roots)], dtype=np.int64)
+
+
+def hermitian_charpoly_batch(adj, eta: Angle) -> list[list[int]]:
+    """Exact characteristic polynomials of H_eta for a (B, n, n) stack of
+    0/1 adjacency matrices, eta of order 2, 4 or 6, each highest degree
+    first, as Python ints.
+
+    The codes adj + 2 adj^T (no arc, one-way forward, one-way backward,
+    digon) index the table (0, e^{i eta}, e^{-i eta}, 1), and each kernel
+    chunk reads its residues from _residue_table.  Every entry has modulus
+    at most 1, so Hadamard's bound takes norm^2 = 1; the coefficients are
+    integers, as Q(zeta_m) has real subfield Q at these orders.  Beyond
+    MAX_CHARPOLY_DIM they come from berkowitz_charpoly over the exact
+    table instead."""
+    adj = np.asarray(adj)
+    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+        raise PreconditionError(f"expected a stack of square matrices, got shape {adj.shape}")
+    if adj.dtype.kind not in "biu" or (adj.size and (adj.min() < 0 or adj.max() > 1)):
+        raise PreconditionError("H_eta keys need a 0/1 adjacency stack")
+    if eta.order not in (2, 4, 6):
+        raise PreconditionError(f"the H_eta kernel covers angles of order 2, 4 and 6, not {eta}")
+    n, m = adj.shape[1], eta.order
+    codes = adj + 2 * np.swapaxes(adj, 1, 2)
+    zero, one = CycScalar.rational(0, m), CycScalar.rational(1, m)
+    table = (zero, CycScalar.zeta(m, eta.p), CycScalar.zeta(m, -eta.p), one)
+    count = _prime_count(n, 1) if 0 < n <= MAX_CHARPOLY_DIM else None
+    if count is not None:
+        residues = _residue_table(table, count)
+        return _charpoly_mod(codes, count, lambda chunk, pk: residues[:, chunk])
     out = []
-    if b is None:
-        for mat in a.tolist():
-            out.append(berkowitz_charpoly([[int(x) for x in row] for row in mat], 1, 0))
-        return out
-    one, zero = CycScalar.rational(1, order), CycScalar.rational(0, order)
-    for ma, mb in zip(a.tolist(), b.tolist()):
-        rows = [[CycScalar(order, (int(x), int(y))) for x, y in zip(ra, rb)]
-                for ra, rb in zip(ma, mb)]
-        coeffs = berkowitz_charpoly(rows, one, zero)
+    for mat in codes.tolist():
+        coeffs = berkowitz_charpoly([[table[c] for c in row] for row in mat], one, zero)
         if not all(c.is_rational() for c in coeffs):
             raise ArithmeticError("Hermitian charpoly produced a non-real coefficient")
         out.append([int(c.rational_value()) for c in coeffs])

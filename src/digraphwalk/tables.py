@@ -12,7 +12,8 @@ Class counts are split by whether class members are graphs (every arc in a
 digon) or proper digraphs.  One pipeline serves every order: each base
 (underlying graph) is one partition, its orientations are keyed (on worker
 processes if asked), and the partitions are merged.  One order-6 column
-(1 540 944 digraphs) takes 13 to 16 s on one core, all six about 90 s.
+(1 540 944 digraphs) takes 8 to 10 s (H_eta) or 13 to 16 s (A, U2plus) on
+one core.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import Angle, make_root
+from .cyclotomic import Angle
 from .digraph import Digraph, PreconditionError, arc_space, underlying, underlying_edges
 from .enumeration import (
     DIGRAPH_CLASS_COUNTS,
@@ -34,7 +35,7 @@ from .enumeration import (
     orientation_stack,
 )
 from .operators import build_H_eta
-from .spectra import charpoly_batch, charpoly_exact, cospectral_key
+from .spectra import charpoly_batch, charpoly_exact, cospectral_key, hermitian_charpoly_batch
 from .supports import digon_locator, eta_regime, grover_square_signs, square_support_formula
 
 FUNCTORS = ("A", "H", "Heta", "U2plus")
@@ -47,18 +48,6 @@ def _int_key(coeffs) -> bytes:
 def _digraph(adj: np.ndarray) -> Digraph:
     u, v = np.nonzero(adj)
     return Digraph(len(adj), frozenset(zip(u.tolist(), v.tolist())))
-
-
-def _hermitian_stack(adj: np.ndarray, eta: Angle) -> np.ndarray:
-    """H_eta of each adjacency matrix: integer entries for m = 2, else pairs
-    (a, b) standing for a + b*zeta_m, the coordinates of the exact scalar."""
-    fwd = np.array(make_root(eta).num)          # e^{i eta} on a one-way arc
-    bwd = np.array(make_root(eta).conj().num)   # and on its reverse
-    digon = adj * np.swapaxes(adj, 1, 2)
-    one_way = adj - digon
-    h = one_way[..., None] * fwd + np.swapaxes(one_way, 1, 2)[..., None] * bwd
-    h[..., 0] += digon
-    return h[..., 0] if eta.order == 2 else h
 
 
 def _lemma_keys(base: Digraph, digons: np.ndarray, eta: Angle) -> list[bytes]:
@@ -90,11 +79,12 @@ def _checked_functor(functor: str, eta: Angle | None) -> tuple[str, Angle | None
 def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[bytes]:
     """Canonical charpoly keys of functor(g), A or H_eta, for a (B, n, n)
     stack of 0/1 adjacency matrices.  Every integer and quadratic-field
-    charpoly comes from one charpoly_batch call."""
+    charpoly comes from one kernel call: charpoly_batch for A,
+    hermitian_charpoly_batch for H_eta at angles of order 2, 4 and 6."""
     if functor == "A":
         return [_int_key(c) for c in charpoly_batch(adj)]
     if eta.order in (2, 4, 6):
-        return [_int_key(c) for c in charpoly_batch(_hermitian_stack(adj, eta), eta.order)]
+        return [_int_key(c) for c in hermitian_charpoly_batch(adj, eta)]
     return [cospectral_key(charpoly_exact(build_H_eta(_digraph(a), eta))) for a in adj]
 
 
@@ -239,8 +229,8 @@ def classify(order: int, functor: str, eta: Angle | None = None,
     Each base (underlying graph) of the order is one partition, its
     orientations keyed once: in this process when ``jobs`` is 1, on ``jobs``
     worker processes otherwise; the result does not depend on jobs.  One
-    order-6 column takes 13 to 16 s with one job and about half that with
-    two."""
+    order-6 column takes 8 to 10 s (H_eta) or 13 to 16 s (A, U2plus) with
+    one job and about half that with two."""
     if order not in DIGRAPH_CLASS_COUNTS:
         raise PreconditionError(f"classing supports orders 2..6, got {order}")
     tasks = [(order, *_checked_functor(functor, eta), index)
@@ -314,10 +304,6 @@ PUBLISHED_CELLS: dict[str, dict[int, tuple[int, ...]]] = {
         6: (1540944, 20306, 5120, 280, 20156, 135, 15),
     },
 }
-
-
-def published_cells(table_id: str, order: int) -> tuple[int, ...]:
-    return PUBLISHED_CELLS[table_id][order]
 
 
 def verify_against_published(table_id: str, table: CospectralTable) -> list[str]:

@@ -23,7 +23,7 @@ from .operators import (
     build_U_grover,
     build_U_theta,
 )
-from .spectra import charpoly_int, eig_hermitian, spectra_match, spectrum_U_oracle, spectrum_U_via_mapping
+from .spectra import eig_hermitian, spectra_match, spectrum_U_oracle, spectrum_U_via_mapping
 from .supports import power_support, verify_square_support_formula
 
 SWEEP_ANGLES = (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3), Angle(1, 1))
@@ -111,16 +111,11 @@ def check_square_supports(max_order: int) -> list[str]:
             rep = verify_square_support_formula(g, eta)
             if not rep.holds:
                 failures.append(f"square-support formula violated: {g!r}, eta={eta}")
-            for sign in ("+", "-"):
-                a = power_support(g, eta, 2, sign)
-                b = power_support(gt, eta, 2, sign)
-                if a.data != b.data:
+            supports = {sign: power_support(g, eta, 2, sign) for sign in ("+", "-")}
+            for sign, a in supports.items():
+                if a.data != power_support(gt, eta, 2, sign).data:
                     failures.append(f"transpose changes squared support: {g!r}, eta={eta}")
-                elif charpoly_int(a.rows()) != charpoly_int(b.rows()):
-                    failures.append(f"transpose changes support charpoly: {g!r}, eta={eta}")
-            plus = np.array(power_support(g, eta, 2, "+").rows())
-            minus = np.array(power_support(g, eta, 2, "-").rows())
-            if (plus * minus).any():
+            if (np.array(supports["+"].data) * np.array(supports["-"].data)).any():
                 failures.append(f"overlapping +/- supports: {g!r}, eta={eta}")
     return failures
 

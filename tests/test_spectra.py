@@ -300,32 +300,69 @@ def test_kernel_falls_back_beyond_the_prime_list(monkeypatch):
     assert charpoly_int(big) == reference(big, 1, 0)
 
 
-def test_kernel_pair_stack_matches_cyclotomic_route():
-    from digraphwalk.spectra import berkowitz_charpoly, charpoly_batch
-
-    for m, t in ((4, 0), (6, 1)):
-        one, zero = CycScalar.rational(1, m), CycScalar.rational(0, m)
-        rng = np.random.default_rng(m)
-        for n in (1, 3, 7):
-            upper = rng.integers(-3, 4, size=(n, n, 2))
-            pairs = np.zeros((n, n, 2), dtype=np.int64)
-            for i in range(n):
-                pairs[i, i] = (upper[i, i, 0], 0)
-                for j in range(i + 1, n):
-                    a, b = upper[i, j]
-                    pairs[i, j] = (a, b)
-                    pairs[j, i] = (a + t * b, -b)   # conj(zeta) = t - zeta
-            rows = [[CycScalar(m, tuple(int(x) for x in pairs[i, j])) for j in range(n)]
-                    for i in range(n)]
-            want = [int(c.rational_value()) for c in berkowitz_charpoly(rows, one, zero)]
-            assert charpoly_batch(pairs[None], m) == [want]
+def _adjacency(g):
+    adj = np.zeros((g.n, g.n), dtype=np.uint8)
+    for u, v in g.arcs:
+        adj[u, v] = 1
+    return adj
 
 
-def test_kernel_rejects_non_hermitian_pairs():
-    from digraphwalk.spectra import charpoly_batch
+def test_hermitian_kernel_matches_cyclotomic_berkowitz(monkeypatch):
+    # orders 7, 16 and 24 need 1, 2 and 3 primes at norm^2 = 1; the keys must
+    # not depend on how the stack is chunked
+    import digraphwalk.spectra as spectra
+    from digraphwalk.spectra import berkowitz_charpoly, hermitian_charpoly_batch
 
-    pairs = np.zeros((1, 2, 2, 2), dtype=np.int64)
-    pairs[0, 0, 1] = (0, 1)      # zeta above the diagonal
-    pairs[0, 1, 0] = (0, 1)      # zeta again below it, not its conjugate
-    with pytest.raises(ArithmeticError):
-        charpoly_batch(pairs, 4)
+    rng = random.Random(24)
+    for n, primes, densities in ((7, 1, (0.3, 0.6)), (16, 2, (0.3, 0.6)), (24, 3, (0.5,))):
+        assert spectra._prime_count(n, 1) == primes
+        graphs = [random_digraph(rng, n, density) for density in densities]
+        adj = np.stack([_adjacency(g) for g in graphs])
+        for eta in (Angle(1, 3), Angle(1, 2), Angle(2, 3)):
+            one, zero = CycScalar.rational(1, eta.order), CycScalar.rational(0, eta.order)
+            want = []
+            for g in graphs:
+                coeffs = berkowitz_charpoly([list(r) for r in build_H_eta(g, eta).data], one, zero)
+                want.append([int(c.rational_value()) for c in coeffs])
+            assert hermitian_charpoly_batch(adj, eta) == want, (n, eta)
+            with monkeypatch.context() as m:
+                m.setattr(spectra, "_KERNEL_ENTRIES", 200)
+                assert hermitian_charpoly_batch(adj, eta) == want, (n, eta)
+
+
+def test_hermitian_kernel_falls_back_beyond_the_dimension_bound(monkeypatch):
+    import digraphwalk.spectra as spectra
+
+    rng = random.Random(7)
+    adj = np.stack([_adjacency(random_digraph(rng, 7)) for _ in range(3)])
+    angles = (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3), Angle(1, 1))
+    want = [spectra.hermitian_charpoly_batch(adj, eta) for eta in angles]
+    monkeypatch.setattr(spectra, "MAX_CHARPOLY_DIM", 6)
+    calls = []
+    reference = spectra.berkowitz_charpoly
+    monkeypatch.setattr(spectra, "berkowitz_charpoly", lambda *a: calls.append(1) or reference(*a))
+    assert [spectra.hermitian_charpoly_batch(adj, eta) for eta in angles] == want
+    assert len(calls) == 3 * len(angles)
+
+
+def test_hermitian_table_must_pass_the_conjugate_check():
+    from digraphwalk.spectra import _residue_table
+
+    zero, one = CycScalar.rational(0, 4), CycScalar.rational(1, 4)
+    i, minus_i = CycScalar.zeta(4, 1), CycScalar.zeta(4, 3)
+    assert _residue_table((zero, i, minus_i, one), 1).shape == (1, 4)
+    for bad in ((zero, i, i, one), (i, i, minus_i, one), (zero, i, minus_i, i)):
+        with pytest.raises(ArithmeticError):
+            _residue_table(bad, 1)
+
+
+def test_hermitian_kernel_refuses_non_binary_stacks():
+    from digraphwalk.spectra import hermitian_charpoly_batch
+
+    adj = np.zeros((1, 3, 3), dtype=np.int64)
+    adj[0, 0, 1] = 2
+    with pytest.raises(PreconditionError):
+        hermitian_charpoly_batch(adj, Angle(1, 2))
+    adj[0, 0, 1] = -1
+    with pytest.raises(PreconditionError):
+        hermitian_charpoly_batch(adj, Angle(1, 3))

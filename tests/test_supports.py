@@ -221,6 +221,33 @@ def test_transpose_invariance_of_square_supports():
                 assert charpoly_int(a.rows()) == charpoly_int(b.rows())
 
 
+def test_square_support_sweep_reports_a_transpose_mismatch(monkeypatch):
+    # the sweep must notice when the transpose's support differs from g's
+    from dataclasses import replace
+
+    from digraphwalk import verify
+
+    transposes = []
+
+    def recorded_transpose(g):
+        transposes.append(transpose(g))
+        return transposes[-1]
+
+    monkeypatch.setattr(verify, "transpose", recorded_transpose)
+
+    def flipped_for_transpose(g, eta, n, sign):
+        s = power_support(g, eta, n, sign)
+        if not any(g is t for t in transposes):
+            return s
+        rows = s.rows()
+        rows[0][0] ^= 1
+        return replace(s, data=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "power_support", flipped_for_transpose)
+    failures = verify.check_square_supports(2)
+    assert failures and all("transpose changes squared support" in f for f in failures)
+
+
 def test_eta_regime():
     assert eta_regime(Angle(0, 1)) == 1
     assert eta_regime(Angle(1, 3)) == 1

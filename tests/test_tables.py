@@ -31,7 +31,7 @@ def test_order_four_hermitian_and_u2():
 
 
 def test_hermitian_key_routes_agree():
-    # quadratic-int fast path vs generic cyclotomic fallback through eta = pi/4
+    # the residue-table kernel vs charpoly_exact over cyclotomic scalars at eta = pi/3
     from digraphwalk.operators import build_H_eta
     from digraphwalk.spectra import charpoly_exact
 
