@@ -8,6 +8,12 @@ polynomial) with a single positive denominator.  Sign tests on real parts
 never use a fixed epsilon: rational cases are decided by integer arithmetic,
 the rest by interval arithmetic at escalating precision backed by an exact
 zero test.
+
+Arrays of elements (``real_part_signs``, ``complex_images``) take the same
+decisions a stack at a time: integer coordinate maps proven to fit int64
+from the maxima (Python ints beyond), an exact vectorised zero test, and a
+float64 evaluation that is used only where a stated rigorous error bound
+certifies it; every entry the bound leaves open goes to the scalar route.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from functools import lru_cache
 from math import gcd
 
 import mpmath
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -571,7 +578,7 @@ def rational_real_coeffs(m: int) -> tuple[Fraction, ...] | None:
 
     Lets array-valued callers take exact integer sign decisions in the fields
     that cover every tabulated angle; returns None when the cosines are
-    irrational and the interval path must be used.
+    irrational and the certified or interval paths must be used.
     """
     if m == 2:
         return (Fraction(1),)
@@ -580,3 +587,165 @@ def rational_real_coeffs(m: int) -> tuple[Fraction, ...] | None:
     if m == 6:
         return (Fraction(1), Fraction(1, 2))
     return None
+
+
+# -- arrays of elements ------------------------------------------------------------
+#
+# A coordinate stack holds integer coordinates over the power basis on its
+# leading axis: coords[k] is the coefficient of zeta_m^k, so an array of
+# elements of Q(zeta_m) with one common denominator has shape (phi(m), ...).
+
+INT64_BOUND = 2 ** 63
+# The float64 value of sum_k c_k cos(2 pi k / m) is within
+# FLOAT_ERR * (phi + 4) * sum_k |c_k| of the true one (_float_real_parts).
+FLOAT_ERR = 2.0 ** -52
+
+
+def exact_ints(arr: np.ndarray, growth: int) -> np.ndarray:
+    """An integer array as int64 when growth * max|arr| < 2**63, otherwise as
+    Python ints.  An integer map whose rows have absolute sums <= growth then
+    keeps every partial sum below 2**63, in any order of summation."""
+    if growth * int(np.abs(arr).max(initial=0)) < INT64_BOUND:
+        return arr.astype(np.int64, copy=False)
+    return arr.astype(object, copy=False)
+
+
+def coordinate_map(mat: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The integer matrix mat (r, phi) applied to the coordinate axis of a
+    stack, exactly: in int64 where exact_ints proves it fits."""
+    c = exact_ints(coords, int(np.abs(mat).sum(axis=1).max(initial=0)))
+    return np.tensordot(mat.astype(c.dtype), c, axes=1)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=64)
+def zeta_power_map(m: int, s: int) -> np.ndarray:
+    """(phi, phi) integer matrix of multiplication by zeta_m^s on coordinates:
+    column k holds the coordinates of zeta_m^(k + s)."""
+    ring = _ring(m)
+    return _read_only(np.array([ring.powers[(k + s) % m] for k in range(ring.phi)],
+                               dtype=np.int64).T)
+
+
+@lru_cache(maxsize=32)
+def _conj_map(m: int) -> np.ndarray:
+    """(phi, phi) integer matrix of complex conjugation on coordinates:
+    column k holds the coordinates of zeta_m^(m - k)."""
+    ring = _ring(m)
+    return _read_only(np.array([ring.powers[(m - k) % m] for k in range(ring.phi)],
+                               dtype=np.int64).T)
+
+
+@lru_cache(maxsize=32)
+def _cosines_float(m: int) -> np.ndarray:
+    """(phi,) float64 cos(2*pi*k/m) for the basis powers k.  Each is an
+    80-bit value converted to float64, so within 2^-51 of the truth."""
+    with mpmath.workprec(80):
+        return _read_only(np.array([float(mpmath.cos(2 * mpmath.pi * k / m))
+                                    for k in range(_ring(m).phi)]))
+
+
+def _float_real_parts(m: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 real parts (K,) of the elements of a (phi, K) coordinate stack,
+    and one bound (K,) on the absolute error of each.
+
+    With u = 2^-53: each cosine is within 2^-51 = 4u of the truth, each
+    coordinate converts with relative error u and each product adds u, so a
+    term is within 7u |c_k|; a sum of phi terms in any order (BLAS, FMA)
+    adds at most 1.01 (phi - 1) u sum_k |c_k|.  The bound FLOAT_ERR (phi + 4)
+    sum_k |c_k| = (2 phi + 8) u sum_k |c_k| covers both, and the rounding of
+    the float sum of |c_k| as well.  Coordinates beyond the float64 range get
+    an infinite bound."""
+    phi, k = coords.shape
+    try:
+        cf = coords.astype(np.float64)
+    except OverflowError:
+        return np.zeros(k), np.full(k, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cosines_float(m) @ cf, FLOAT_ERR * (phi + 4) * np.abs(cf).sum(axis=0)
+
+
+def real_part_signs(m: int, coords: np.ndarray) -> np.ndarray:
+    """Exact signs (-1, 0, 1) of Re(sum_k coords[k] zeta_m^k) over a coordinate
+    stack (phi(m), ...) of int64 or Python ints, as an int64 array (...).
+
+    Rational cosines (m = 2, 4, 6): one integer weighted sum of the
+    coordinates.  Otherwise, in order: an entry whose x + conj(x) coordinates
+    all vanish has sign 0; the float64 value decides wherever its magnitude
+    exceeds the rigorous bound of _float_real_parts; CycScalar.real_part_sign
+    decides every entry left."""
+    shape = coords.shape[1:]
+    re = rational_real_coeffs(m)
+    if re is not None:
+        den = max(c.denominator for c in re)   # 1 or 2
+        weights = np.array([[int(c * den) for c in re]], dtype=np.int64)
+        return np.sign(coordinate_map(weights, coords)[0]).astype(np.int64)
+    phi = coords.shape[0]
+    flat = coords.reshape(phi, -1)
+    out = np.zeros(flat.shape[1], dtype=np.int64)
+    real_twice = coordinate_map(np.eye(phi, dtype=np.int64) + _conj_map(m), flat)
+    idx = np.flatnonzero((real_twice != 0).any(axis=0))
+    values, err = _float_real_parts(m, flat[:, idx])
+    sure = np.abs(values) > err
+    out[idx[sure]] = np.sign(values[sure])
+    for i in idx[~sure].tolist():
+        out[i] = CycScalar(m, tuple(int(c) for c in flat[:, i])).real_part_sign()
+    return out.reshape(shape)
+
+
+# Fixed-point cos and sin for complex_images: integers within 1 of 2^120 f;
+# a part is kept when its error is at most 1/IMAGE_MARGIN of the sum of both.
+FIXED_BITS = 120
+IMAGE_MARGIN = 2 ** 61
+
+
+@lru_cache(maxsize=32)
+def _unit_circle_fixed(m: int) -> np.ndarray:
+    """(2, phi) Python ints: cos and sin of 2*pi*k/m times 2^FIXED_BITS, each
+    rounded from a value 30 bits more precise, so within 1 of the truth."""
+    with mpmath.workprec(FIXED_BITS + 30):
+        angles = [2 * mpmath.pi * k / m for k in range(_ring(m).phi)]
+        scale = mpmath.mpf(2) ** FIXED_BITS
+        return _read_only(np.array([[int(mpmath.nint(f(a) * scale)) for a in angles]
+                                    for f in (mpmath.cos, mpmath.sin)], dtype=object))
+
+
+def complex_images(xs) -> np.ndarray:
+    """Float images of a sequence of elements, each within relative error
+    2^-50 of the truth, as ``to_complex`` promises.
+
+    m = 2, 4, 6 take to_complex's closed forms.  Elsewhere the parts are
+    fixed-point sums S = sum_k c_k F_k with the integers F_k of
+    _unit_circle_fixed: exact integers, each within A = sum_k |c_k| of
+    2^120 times the true part, so a part that is exactly 0 (found by the
+    integer conjugation map) is set to 0.  Python rounds S / (den 2^120)
+    correctly; where IMAGE_MARGIN A <= |S_re| + |S_im| the error is below
+    1.5 * 2^-53 |x|.  Every entry that test leaves open takes to_complex."""
+    out = np.zeros(len(xs), dtype=complex)
+    generic: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        if x.is_zero():
+            continue
+        if x.m in (2, 4, 6):
+            out[i] = x.to_complex()
+        else:
+            generic.setdefault(x.m, []).append(i)
+    for m, where in generic.items():
+        phi = _ring(m).phi
+        coords = np.array([xs[i].num for i in where], dtype=object).T
+        eye, conj = np.eye(phi, dtype=np.int64), _conj_map(m)
+        parts = _unit_circle_fixed(m) @ coords
+        parts[0][~(coordinate_map(eye + conj, coords) != 0).any(axis=0)] = 0
+        parts[1][~(coordinate_map(eye - conj, coords) != 0).any(axis=0)] = 0
+        spread = np.abs(coords).sum(axis=0)
+        for i, re, im, a in zip(where, parts[0].tolist(), parts[1].tolist(), spread.tolist()):
+            if a * IMAGE_MARGIN <= abs(re) + abs(im):
+                scale = xs[i].den << FIXED_BITS
+                out[i] = complex(re / scale, im / scale)
+            else:
+                out[i] = xs[i].to_complex()
+    return out

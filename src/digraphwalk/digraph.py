@@ -218,9 +218,11 @@ class ArcSpace:
         self.o = np.array(self.origin, dtype=np.int64)
         self.inv = np.arange(len(arcs), dtype=np.int64) ^ 1
         self.deg = np.array(self.degree, dtype=np.int64)
-        t = self.t
-        chat = 2 * (t[:, None] == t[None, :]).astype(np.int64) - np.diag(self.deg[t])
-        self.s_chat = chat[self.inv, :]
+        # row a of S Chat is row inv(a) of Chat, and t(inv(a)) = o(a); built
+        # in place, so a large arc space holds one (2m)^2 int64 matrix at a time
+        self.s_chat = (self.o[:, None] == self.t[None, :]).astype(np.int64)
+        self.s_chat *= 2
+        self.s_chat[np.arange(len(arcs)), self.inv] -= self.deg[self.o]
         for arr in (self.t, self.o, self.inv, self.deg, self.s_chat):
             arr.flags.writeable = False
 

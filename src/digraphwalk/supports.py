@@ -2,10 +2,13 @@
 identities that govern the squared walk.
 
 The support of the n-th power reads off the exact sign of the real part of
-each entry of D_theta * U_theta^n.  For the angles whose cosine is rational
-(every tabulated angle), the sign data is obtained from integer matrices
-whose products are exact.  Other angles fall back to elementwise exact
-scalars.
+each entry of D_theta * U_theta^n, always from integer matrices whose
+products are exact.  The square at an angle whose cosine is rational (every
+tabulated angle) is one product, folded as below.  Every other power and
+angle takes the full products of ``_product_signs``: integer coefficient
+stacks over Z[zeta_m], whose signs ``real_part_signs`` certifies (an exact
+zero test, a float64 value under a rigorous error bound, and the exact
+scalar for whatever the bound leaves open).
 
 Why the integer route is exact at any size: U[a, b] is nonzero only when
 t(b) = o(a), so an entry (U^2)[a, c] has at most one middle arc,
@@ -39,22 +42,28 @@ products above, never with itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar, make_root, rational_real_coeffs
+from .cyclotomic import (
+    Angle,
+    CycScalar,
+    exact_ints,
+    make_root,
+    rational_real_coeffs,
+    real_part_signs,
+    zeta_power_map,
+)
 from .digraph import ArcSpace, Digraph, PreconditionError, arc_space, digons, is_graph, is_regular
 from .operators import (
     IndexSpace,
     OpMatrix,
     arc_space_index,
-    build_D_theta,
-    build_R,
     build_S,
-    build_U_theta,
 )
 
 
@@ -131,43 +140,111 @@ def _real_weights(eta: Angle) -> np.ndarray | None:
     return weights
 
 
+FLOAT_EXACT = 2 ** 53
+
+
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The integer product a @ b, exact at any size: int64 from float64 BLAS
     when inner_dim * max|a| * max|b| < 2**53 (module docstring), otherwise
     a dtype=object array of Python ints.  The maxima are read in float64:
-    exact below 2**53, and rounding never takes a larger one below it."""
-    fa, fb = a.astype(np.float64), b.astype(np.float64)
-    if a.shape[-1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0)) < 2 ** 53:
-        return (fa @ fb).astype(np.int64)
+    exact below 2**53, and rounding never takes a larger one below it.
+    Python-int operands stay Python ints."""
+    if a.dtype != object and b.dtype != object:
+        fa, fb = a.astype(np.float64), b.astype(np.float64)
+        if (a.shape[-1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0))
+                < FLOAT_EXACT):
+            prod = fa @ fb
+            del fa, fb   # at most one float copy beside the int64 result
+            return prod.astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
 
-def sign_data_power(g: Digraph, eta: Angle, n: int) -> np.ndarray | None:
-    """Exact sign matrix of Re(D_theta U_theta^n) via integer arithmetic.
-
-    Returns None when cos eta is irrational or the power is not covered
-    (n > 2); callers then use the scalar path."""
-    if n not in (1, 2):
-        return None
-    weights = _real_weights(eta)
-    if weights is None and n != 1:
-        return None
-    space = arc_space(g)
+def _square_fold(space: ArcSpace, weights: np.ndarray) -> np.ndarray:
+    """Signs of Re(D_theta U_theta^2) as one product, when cos eta is rational."""
     s_chat = space.s_chat
-    if n == 1:
-        # D_theta U_theta = U(G^+-) = diag(1/deg o) * (S Chat): real, any angle
-        return np.sign(s_chat).astype(np.int64)
     # sign(s_chat) stands in for the positively scaled U: see the module
     # docstring.  Re e^{-i theta(b)} on the middle arc b is den * cos theta(b),
     # and cos is even.
     middle = weights[np.asarray(space.theta_weight) + 1]
-    return np.sign(_exact_matmul(np.sign(s_chat), middle[:, None] * s_chat)).astype(np.int64)
+    prod = _exact_matmul(np.sign(s_chat).astype(np.int8), middle[:, None] * s_chat)
+    return np.sign(prod).astype(np.int64, copy=False)
 
 
+def _product_signs(space: ArcSpace, eta: Angle, n: int) -> np.ndarray:
+    """Signs of Re(D_theta U_theta^n), n >= 2, from full products over Z[zeta_m].
+
+    D_theta U_theta^n = U_0 (D_theta^-1 U_0)^(n-1) with U_0 = diag(1/deg o)
+    s_chat (module docstring).  The outer row scale is positive and dropped;
+    the inner one is scaled by L = lcm(deg), so that W = diag(L/deg o) s_chat
+    is an integer matrix, and the signs are those of s_chat (D_theta^-1 W)^(n-1).
+    The running product is a (phi(m), N, N) integer coordinate stack: each
+    step multiplies column b by zeta_m^(-p theta_weight(b)), one coordinate
+    map per weight, then makes the phi integer products with W in one
+    ``_exact_matmul``."""
+    m, dim = eta.order, len(space)
+    s_chat = space.s_chat
+    lcm = math.lcm(*{d for d in space.degree if d})
+    scale = np.array([lcm // d if d else 0 for d in space.degree], dtype=object)[space.o]
+    w = exact_ints(scale[:, None] * s_chat, 1)
+    shift = (-eta.p * np.asarray(space.theta_weight)) % m
+    cols = [(np.flatnonzero(shift == s), zeta_power_map(m, s)) for s in set(shift.tolist())]
+    growth = max(int(np.abs(mat).sum(axis=1).max()) for _, mat in cols)
+    phi = zeta_power_map(m, 0).shape[0]
+    stack = np.zeros((phi, dim, dim), dtype=np.int64)
+    stack[0] = s_chat
+    for _ in range(n - 1):
+        stack = exact_ints(stack, growth)
+        rotated = np.empty_like(stack)
+        for idx, mat in cols:
+            rotated[:, :, idx] = np.tensordot(mat.astype(stack.dtype), stack[:, :, idx], axes=1)
+        stack = _exact_matmul(rotated.reshape(phi * dim, dim), w).reshape(phi, dim, dim)
+    return real_part_signs(m, stack)
+
+
+def _shared_signs(fn):
+    """fn with a bounded cache per argument tuple, like ``arc_space``.  Every
+    caller shares a result, so its array is made read-only.  The cached
+    function is returned as a plain function, which bench/tracing.py wraps."""
+    @lru_cache(maxsize=16)
+    def cached(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        out.flags.writeable = False
+        return out
+
+    @wraps(fn)
+    def shared(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    shared.cache_clear = cached.cache_clear
+    return shared
+
+
+@_shared_signs
+def sign_data_power(g: Digraph, eta: Angle, n: int) -> np.ndarray:
+    """Exact sign matrix of Re(D_theta U_theta^n) via integer arithmetic, for
+    every angle and every n >= 1; read-only, cached per (g, eta, n).
+
+    n = 1 is sign(s_chat) at any angle; n = 2 with cos eta rational is one
+    product by the middle-arc lemma; everything else is ``_product_signs``."""
+    if n < 1:
+        raise PreconditionError("power must be >= 1")
+    space = arc_space(g)
+    if n == 1:
+        # D_theta U_theta = U(G^+-) = diag(1/deg o) * (S Chat): real, any angle
+        return np.sign(space.s_chat).astype(np.int64)
+    weights = _real_weights(eta) if n == 2 else None
+    if weights is not None:
+        return _square_fold(space, weights)
+    return _product_signs(space, eta, n)
+
+
+@_shared_signs
 def grover_square_signs(g: Digraph) -> np.ndarray:
-    """Exact sign matrix of U(G^+-)^2 entries (integer route)."""
+    """Exact sign matrix of U(G^+-)^2 entries (integer route); read-only,
+    cached per digraph."""
     s_chat = arc_space(g).s_chat
-    return np.sign(_exact_matmul(np.sign(s_chat), s_chat)).astype(np.int64)
+    prod = _exact_matmul(np.sign(s_chat).astype(np.int8), s_chat)
+    return np.sign(prod).astype(np.int64, copy=False)
 
 
 def digon_locator(space: ArcSpace, digon: np.ndarray) -> np.ndarray:
@@ -184,22 +261,13 @@ def digon_locator_array(g: Digraph) -> np.ndarray:
     return digon_locator(space, mask)
 
 
-def _power_sign_matrix(g: Digraph, eta: Angle, n: int) -> np.ndarray:
-    signs = sign_data_power(g, eta, n)
-    if signs is None:
-        mat = build_D_theta(g, eta) @ build_U_theta(g, eta).power(n)
-        signs = np.array([[x.real_part_sign() for x in row] for row in mat.data],
-                         dtype=np.int64)
-    return signs
-
-
 def power_support(g: Digraph, eta: Angle, n: int, sign) -> SupportMatrix:
     """Support of the n-th transfer-matrix power, by the defining sign test."""
     if n < 1:
         raise PreconditionError("power must be >= 1")
     want = _sign_value(sign)
     space = arc_space(g)
-    data = tuple(map(tuple, (_power_sign_matrix(g, eta, n) == want).astype(np.int64).tolist()))
+    data = tuple(map(tuple, (sign_data_power(g, eta, n) == want).view(np.int8).tolist()))
     return SupportMatrix(arc_space_index(space), data, want, power=n, eta=eta)
 
 
@@ -246,8 +314,8 @@ def square_support_formula(u2: np.ndarray, r: np.ndarray, regime: int, sign) -> 
 def verify_square_support_formula(g: Digraph, eta: Angle) -> SquareSupportReport:
     """Check the three-regime formula for the squared-walk supports entrywise.
 
-    The signs of D_theta U_theta^2 come from sign_data_power or the exact
-    OpMatrix power, never from the formula.  By the middle-arc lemma (module
+    The signs of D_theta U_theta^2 come from sign_data_power's products,
+    never from the formula.  By the middle-arc lemma (module
     docstring) the formula holds for every digraph; inputs outside the
     paper's hypothesis, k-regular with k >= 3, are labeled an empirical
     probe."""
@@ -256,7 +324,7 @@ def verify_square_support_formula(g: Digraph, eta: Angle) -> SquareSupportReport
     regime = eta_regime(eta)
     u2 = grover_square_signs(g)
     r = digon_locator_array(g)
-    signs = _power_sign_matrix(g, eta, 2)
+    signs = sign_data_power(g, eta, 2)
     violations: list[tuple[str, int, int]] = []
     for eps in (1, -1):
         diff = np.argwhere((signs == eps) != square_support_formula(u2, r, regime, eps))

@@ -171,3 +171,28 @@ def test_float_eta_escape_hatch(capsys):
     assert code == EXIT_OK and "floating angle" in out
     assert run(capsys, "build", "--family", "K 3", "--float-eta", "0.7",
                "--ops", "K")[0] == EXIT_PARSE
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "digraphwalk", "supports", "--family", "K 4",
+                           "--eta", "2/5", "--power", "3", "--sign", "+,-"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "# support power=3 sign=+" in proc.stdout and "# support power=3 sign=-" in proc.stdout
+
+
+def test_importing_the_module_entry_point_runs_nothing(capsys):
+    # tools that import every module of the package (bench/tracing.py) must
+    # not start the CLI
+    import importlib
+
+    importlib.import_module("digraphwalk.__main__")
+    assert capsys.readouterr() == ("", "")

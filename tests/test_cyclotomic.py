@@ -203,3 +203,21 @@ def test_render_round_trip_readable():
     x = CycScalar.from_coeffs(6, [Fraction(1, 3), Fraction(-2)])
     assert x.render() == "1/3 - 2*z(6)"
     assert CycScalar.rational(0, 4).render() == "0"
+
+
+def test_real_part_signs_equal_scalar_signs():
+    # int64 stacks, and Python ints beyond the float64 range
+    import numpy as np
+
+    from digraphwalk.cyclotomic import _ring, real_part_signs
+
+    rng = random.Random(2718)
+    for m in (2, 4, 6, 8, 10, 12, 14, 30):
+        phi = _ring(m).phi
+        for scale in (3, 2 ** 40, 2 ** 1100):
+            coords = [[rng.randint(-scale, scale) for _ in range(40)] for _ in range(phi)]
+            for k in range(phi):   # one zero entry
+                coords[k][1] = 0
+            stack = np.array(coords, dtype=object if scale > 2 ** 62 else np.int64)
+            want = [CycScalar(m, tuple(c[j] for c in coords)).real_part_sign() for j in range(40)]
+            assert real_part_signs(m, stack).tolist() == want, (m, scale)

@@ -311,3 +311,43 @@ def test_matrix_power_and_trace():
     assert u.power(3) == u @ u @ u
     c = build_C(g)
     assert c.trace() == CycScalar.rational(-4)  # 12 arcs with diagonal 2/3 - 1
+
+
+def _entrywise_image(m: OpMatrix) -> np.ndarray:
+    # the per-entry route, scaled like to_complex_array
+    out = np.array([[x.to_complex() for x in row] for row in m.data], dtype=complex)
+    if m.row_sqrt is not None:
+        out = np.array([d ** -0.5 for d in m.row_sqrt])[:, None] * out
+    if m.col_sqrt is not None:
+        out = out * np.array([d ** -0.5 for d in m.col_sqrt])[None, :]
+    return out
+
+
+def test_complex_array_equals_entrywise_images_at_generic_orders(monkeypatch):
+    from digraphwalk import cyclotomic
+
+    rng = random.Random(1414)
+    graphs = [fig_digraph()] + [random_digraph(rng, n, 0.4) for n in (5, 6)]
+    # orders 8, 10, 12 and 14
+    angles = (Angle(1, 4), Angle(2, 5), Angle(5, 6), Angle(3, 7))
+    mats = [build(g, eta) for g in graphs if g.arcs for eta in angles
+            for build in (build_U_theta, build_H_tilde)]
+    want = [_entrywise_image(m) for m in mats]
+    scalar_image = CycScalar.to_complex
+    fallbacks = []
+
+    def recorded(x):
+        fallbacks.append(x)
+        return scalar_image(x)
+
+    monkeypatch.setattr(CycScalar, "to_complex", recorded)
+    for m, w in zip(mats, want):
+        got = m.to_complex_array()
+        # both within 2^-50 of the truth, relative to each entry
+        assert np.all(np.abs(got - w) <= 2.0 ** -48 * np.abs(w)), m
+        assert np.array_equal(got.real == 0, w.real == 0) and np.array_equal(got.imag == 0, w.imag == 0)
+    # the certified fixed-point sums served every entry outside the closed forms
+    assert all(x.m in (2, 4, 6) for x in fallbacks)
+    # and an infinite margin sends every entry to the per-entry route
+    monkeypatch.setattr(cyclotomic, "IMAGE_MARGIN", float("inf"))
+    assert all(np.array_equal(m.to_complex_array(), w) for m, w in zip(mats, want))

@@ -16,7 +16,6 @@ from digraphwalk.operators import (
     build_R,
 )
 from digraphwalk.enumeration import DIGRAPH_CLASS_COUNTS, enumerate_digraphs
-from digraphwalk.spectra import charpoly_int
 from digraphwalk.supports import (
     digon_count_via_trace,
     eta_regime,
@@ -97,14 +96,15 @@ def test_example_digraph_square_trace():
 
 
 def test_generic_scalar_path_agrees_with_integer_path():
-    # pi/4 has an order-8 field: power_support runs the elementwise route
+    # pi/4 has an order-8 field, whose cosine is irrational: power_support
+    # runs the full coefficient-stack products, not the one-product fold
     g = complete_digraph(4)
     eta8 = Angle(1, 4)
     sup = power_support(g, eta8, 2, "+")
     # below pi/2 the square support equals the underlying Grover one
     grover = power_support(g, Angle(0, 1), 2, "+")
     assert sup.data == grover.data
-    # and the integer fast path agrees with the exact scalar path where both run
+    # and the fold agrees with the exact OpMatrix product at the tabulated angles
     for eta in TABLED_ANGLES:
         fast = power_support(g, eta, 2, "+").data
         u = build_U_theta(g, eta)
@@ -217,8 +217,9 @@ def test_transpose_invariance_of_square_supports():
             for sign in ("+", "-"):
                 a = power_support(g, eta, 2, sign)
                 b = power_support(gt, eta, 2, sign)
+                # entrywise equality means something only on one arc order
+                assert a.space.labels == b.space.labels
                 assert a.data == b.data
-                assert charpoly_int(a.rows()) == charpoly_int(b.rows())
 
 
 def test_square_support_sweep_reports_a_transpose_mismatch(monkeypatch):
@@ -321,8 +322,16 @@ def test_exact_matmul_routes_equal_python_int_product():
 # Each entry of D_theta U_theta^2 has at most one middle arc, so the
 # three-regime formula holds for every digraph, not only k-regular ones with
 # k >= 3.  verify_square_support_formula compares the formula with the
-# signs of an independent route: the integer products of sign_data_power at
-# the tabulated angles, the exact OpMatrix power elsewhere.
+# signs of an independent route: the integer products of sign_data_power,
+# one folded product at the tabulated angles and the full coefficient-stack
+# products elsewhere, never the formula.
+
+
+def _recorded(calls: list, name: str, fn):
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+    return wrapper
 
 
 def _assert_lemma(graphs, angles) -> int:
@@ -340,11 +349,19 @@ def test_middle_arc_lemma_every_digraph_of_order_five():
     assert _assert_lemma(enumerate_digraphs(5), TABLED_ANGLES) == DIGRAPH_CLASS_COUNTS[5] - 1
 
 
-def test_middle_arc_lemma_at_generic_angles_orders_two_to_four():
+def test_middle_arc_lemma_at_generic_angles_orders_two_to_four(monkeypatch):
+    from digraphwalk import supports
+
     generic = (Angle(1, 4), Angle(2, 5), Angle(5, 6))
     g = complete_digraph(3)
-    # these angles take the exact scalar route, not the integer one
-    assert all(sign_data_power(g, eta, 2) is None for eta in generic)
+    # these angles take the full coefficient-stack products, not the fold
+    routes = []
+    for name in ("_square_fold", "_product_signs"):
+        monkeypatch.setattr(supports, name, _recorded(routes, name, getattr(supports, name)))
+    supports.sign_data_power.cache_clear()
+    for eta in generic:
+        sign_data_power(g, eta, 2)
+    assert routes == ["_product_signs"] * len(generic)
     for n in (2, 3, 4):
         assert _assert_lemma(enumerate_digraphs(n), generic) == DIGRAPH_CLASS_COUNTS[n] - 1
 
@@ -371,3 +388,150 @@ def test_one_arc_context_per_digraph(monkeypatch):
         verify_square_support_formula(g, eta)
         digon_count_via_trace(g, eta)
     assert builds == [g]
+
+
+def test_one_grover_square_and_one_sign_product_per_angle(monkeypatch):
+    # verify + trace at three angles: the Grover square once per digraph and
+    # the n = 2 signs once per (digraph, angle), from the caches
+    from digraphwalk import supports
+
+    g = make_Y(2, 5)
+    s_chat = arc_space(g).s_chat
+    rights = []
+    matmul = supports._exact_matmul
+
+    def counted(a, b):
+        rights.append(b)
+        return matmul(a, b)
+
+    supports.grover_square_signs.cache_clear()
+    supports.sign_data_power.cache_clear()
+    monkeypatch.setattr(supports, "_exact_matmul", counted)
+    for eta in TABLED_ANGLES:
+        assert verify_square_support_formula(g, eta).holds
+        digon_count_via_trace(g, eta)
+    grover = [b for b in rights if b is s_chat]
+    assert len(grover) == 1 and len(rights) == 1 + len(TABLED_ANGLES)
+    assert not grover_square_signs(g).flags.writeable
+    assert not sign_data_power(g, Angle(1, 2), 2).flags.writeable
+
+
+# -- the coefficient-stack products ------------------------------------------------
+#
+# D_theta U_theta^n from the exact OpMatrix products is the oracle: each
+# power is one more product D_theta U_theta^(n-1) @ U_theta, which equals
+# build_D_theta(g, eta) @ build_U_theta(g, eta).power(n) exactly.
+
+STACK_ANGLES = (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3), Angle(1, 1),
+                Angle(1, 4), Angle(2, 5), Angle(3, 7), Angle(5, 6))
+
+
+def _oracle_signs(g, eta, powers):
+    cur, u = build_D_theta(g, eta), build_U_theta(g, eta)
+    out = {}
+    for n in range(1, max(powers) + 1):
+        cur = cur @ u
+        if n in powers:
+            out[n] = np.array([[x.real_part_sign() for x in row] for row in cur.data])
+    return out
+
+
+def test_sign_data_power_equals_opmatrix_power_orders_two_to_four():
+    checked = 0
+    for order in (2, 3, 4):
+        for g in enumerate_digraphs(order):
+            if not g.arcs:
+                continue
+            for eta in STACK_ANGLES:
+                for n, want in _oracle_signs(g, eta, (1, 2, 3, 4)).items():
+                    assert np.array_equal(sign_data_power(g, eta, n), want), (g, eta, n)
+                    checked += 1
+    assert checked == (sum(DIGRAPH_CLASS_COUNTS[n] - 1 for n in (2, 3, 4))
+                       * len(STACK_ANGLES) * 4)
+
+
+def test_sign_data_power_equals_opmatrix_power_on_random_larger_digraphs():
+    rng = random.Random(8080)
+    for order in (7, 8, 9, 10):
+        g = random_digraph(rng, order, 0.3)
+        for eta in (Angle(2, 5), Angle(3, 7)):
+            want = _oracle_signs(g, eta, (3,))[3]
+            assert np.array_equal(sign_data_power(g, eta, 3), want), (g, eta)
+
+
+def _forced_route_cases():
+    rng = random.Random(31)
+    graphs = [random_digraph(rng, n, 0.5) for n in (3, 4, 5, 6)]
+    return [(g, eta, n) for g in graphs if g.arcs
+            for eta in (Angle(2, 3), Angle(2, 5), Angle(3, 7)) for n in (2, 3, 4)]
+
+
+def _fresh_signs(cases):
+    from digraphwalk import supports
+
+    supports.sign_data_power.cache_clear()
+    return [np.array(sign_data_power(g, eta, n)) for g, eta, n in cases]
+
+
+def test_python_int_route_equals_int64_route(monkeypatch):
+    from digraphwalk import cyclotomic, supports
+
+    cases = _forced_route_cases()
+    want = _fresh_signs(cases)
+    dtypes = set()
+    matmul = supports._exact_matmul
+
+    def recorded(a, b):
+        out = matmul(a, b)
+        dtypes.add(out.dtype)
+        return out
+
+    # with bounds of 1 no step can be proven to fit int64 or float64
+    monkeypatch.setattr(cyclotomic, "INT64_BOUND", 1)
+    monkeypatch.setattr(supports, "FLOAT_EXACT", 1)
+    monkeypatch.setattr(supports, "_exact_matmul", recorded)
+    got = _fresh_signs(cases)
+    assert dtypes == {np.dtype(object)}
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    supports.sign_data_power.cache_clear()
+
+
+def test_exact_fallback_for_every_entry_equals_certified_floats(monkeypatch):
+    from digraphwalk import cyclotomic, supports
+
+    cases = [c for c in _forced_route_cases() if c[1].order not in (2, 4, 6)]
+    want = _fresh_signs(cases)
+    exact = []
+    scalar_sign = cyclotomic.CycScalar.real_part_sign
+
+    def recorded(x):
+        exact.append(x)
+        return scalar_sign(x)
+
+    # an infinite bound certifies no float: every nonzero entry goes exact
+    monkeypatch.setattr(cyclotomic, "FLOAT_ERR", float("inf"))
+    monkeypatch.setattr(cyclotomic.CycScalar, "real_part_sign", recorded)
+    got = _fresh_signs(cases)
+    assert len(exact) == sum(int(np.count_nonzero(w)) for w in want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    supports.sign_data_power.cache_clear()
+
+
+def test_entry_with_zero_real_part_and_nonzero_coordinates(monkeypatch):
+    # entry [0, 3] of D_theta U_theta^3 here is zeta_8^2 = i
+    from digraphwalk import cyclotomic, supports
+
+    g, eta = Digraph.of(3, [(0, 2), (2, 1)]), Angle(1, 4)
+    mat = build_D_theta(g, eta) @ build_U_theta(g, eta).power(3)
+    assert not mat.data[0][3].is_zero() and mat.data[0][3].real_part_sign() == 0
+    want = np.array([[x.real_part_sign() for x in row] for row in mat.data])
+    for err in (cyclotomic.FLOAT_ERR, float("inf")):
+        monkeypatch.setattr(cyclotomic, "FLOAT_ERR", err)
+        got = _fresh_signs([(g, eta, 3)])[0]
+        assert got[0, 3] == 0 and np.array_equal(got, want)
+    supports.sign_data_power.cache_clear()
+
+
+def test_sign_data_power_refuses_powers_below_one():
+    with pytest.raises(PreconditionError):
+        sign_data_power(complete_digraph(3), Angle(1, 2), 0)

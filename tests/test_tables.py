@@ -158,13 +158,14 @@ def test_kernel_keys_equal_python_reference_orders_two_to_four():
 def test_u2_lemma_keys_equal_per_digraph_sign_route_orders_two_to_five():
     # the keys from (underlying graph, digon set) against the per-digraph
     # route they replaced: the defining signs of D_theta U_theta^2 on each
-    # digraph of orientation_stack (sign_data_power's full products, or the
-    # exact OpMatrix power at an irrational cosine), charpolyed in one batch
+    # digraph of orientation_stack (sign_data_power's products: one folded
+    # product at a rational cosine, the full coefficient-stack products at an
+    # irrational one), charpolyed in one batch
     # per base; one angle in each of the three regimes
     from digraphwalk.digraph import Digraph, is_graph
     from digraphwalk.enumeration import orientation_stack
     from digraphwalk.spectra import charpoly_batch
-    from digraphwalk.supports import _power_sign_matrix
+    from digraphwalk.supports import sign_data_power
     from digraphwalk.tables import _bases, _key_partition
 
     runs = [(eta, order) for eta in (Angle(1, 2), Angle(2, 3)) for order in (2, 3, 4, 5)]
@@ -179,7 +180,7 @@ def test_u2_lemma_keys_equal_per_digraph_sign_route_orders_two_to_five():
             keyed = [g for g in graphs if g.arcs]
             want: dict = {}
             if keyed:
-                supports = np.stack([_power_sign_matrix(g, eta, 2) == 1 for g in keyed])
+                supports = np.stack([sign_data_power(g, eta, 2) == 1 for g in keyed])
                 for g, coeffs in zip(keyed, charpoly_batch(supports)):
                     slot = want.setdefault(";".join(str(c) for c in coeffs).encode(), [0, 0])
                     slot[0] += 1
