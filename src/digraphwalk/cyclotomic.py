@@ -14,6 +14,8 @@ decisions a stack at a time: integer coordinate maps proven to fit int64
 from the maxima (Python ints beyond), an exact vectorised zero test, and a
 float64 evaluation that is used only where a stated rigorous error bound
 certifies it; every entry the bound leaves open goes to the scalar route.
+Integer products of stacks run through ``_exact_matmul``, one exact route
+shared by the walk operators and the sign kernel.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ def _ring(m: int) -> _Ring:
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    if den == 1:
+        return tuple(num), 1
     if den < 0:
         num = [-c for c in num]
         den = -den
@@ -265,6 +269,8 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = CycScalar._match(self, other)
+        if a.den == b.den:
+            return CycScalar(a.m, tuple(x + y for x, y in zip(a.num, b.num)), a.den)
         d = a.den * b.den // gcd(a.den, b.den)
         fa, fb = d // a.den, d // b.den
         num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
@@ -622,22 +628,80 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+FLOAT_EXACT = 2 ** 53
+
+
+# float64 entries per row block of the left factor in _exact_matmul (512 kB)
+_MATMUL_BLOCK = 1 << 16
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integer product a @ b of 2-d arrays, exact at any size: int64
+    from float64 BLAS when inner_dim * max|a| * max|b| < 2**53, where every
+    partial sum is an integer below 2**53 whatever the summation order,
+    otherwise a dtype=object array of Python ints.  The maxima are read in
+    float64: exact below 2**53, and rounding never takes a larger one below
+    it.  Python-int operands stay Python ints.  The left factor goes
+    through BLAS a block of rows at a time, so the float copies beside the
+    int64 result are b's and one block's."""
+    if a.dtype != object and b.dtype != object:
+        fb = b.astype(np.float64)
+        bound = a.shape[1] * int(np.abs(fb).max(initial=0))
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+        step = max(1, _MATMUL_BLOCK // max(1, a.shape[1], b.shape[1]))
+        for lo in range(0, a.shape[0], step):
+            fa = a[lo:lo + step].astype(np.float64)
+            if bound * int(np.abs(fa).max(initial=0)) >= FLOAT_EXACT:
+                break
+            out[lo:lo + step] = fa @ fb
+        else:
+            return out
+    return a.astype(object) @ b.astype(object)
+
+
+@lru_cache(maxsize=32)
+def zeta_coords(m: int) -> np.ndarray:
+    """(phi, m) int64 matrix whose column s holds the coordinates of zeta_m^s.
+    Every integer coordinate map below is a choice of its columns."""
+    return _read_only(np.array(_ring(m).powers[:m], dtype=np.int64).T)
+
+
+def _powers(m: int, exponents) -> np.ndarray:
+    return _read_only(zeta_coords(m)[:, np.asarray(exponents) % m])
+
+
+@lru_cache(maxsize=64)
+def lift_map(m: int, target: int) -> np.ndarray:
+    """(phi(target), phi(m)) integer matrix re-expressing coordinates over
+    Q(zeta_m) in Q(zeta_target), m dividing target: column k holds the
+    coordinates of zeta_target^(k target / m)."""
+    if target % m:
+        raise ValueError(f"cannot move order {m} to {target}")
+    return _powers(target, np.arange(_ring(m).phi) * (target // m))
+
+
+@lru_cache(maxsize=32)
+def product_map(m: int) -> np.ndarray:
+    """(phi, phi^2) integer matrix folding the coordinate products of two
+    elements onto the basis: column i * phi + j holds the coordinates of
+    zeta_m^(i + j), so the product of x and y has coordinates
+    product_map(m) @ outer(x, y).ravel()."""
+    k = np.arange(_ring(m).phi)
+    return _powers(m, np.add.outer(k, k).ravel())
+
+
 @lru_cache(maxsize=64)
 def zeta_power_map(m: int, s: int) -> np.ndarray:
     """(phi, phi) integer matrix of multiplication by zeta_m^s on coordinates:
     column k holds the coordinates of zeta_m^(k + s)."""
-    ring = _ring(m)
-    return _read_only(np.array([ring.powers[(k + s) % m] for k in range(ring.phi)],
-                               dtype=np.int64).T)
+    return _powers(m, np.arange(_ring(m).phi) + s)
 
 
 @lru_cache(maxsize=32)
 def _conj_map(m: int) -> np.ndarray:
     """(phi, phi) integer matrix of complex conjugation on coordinates:
     column k holds the coordinates of zeta_m^(m - k)."""
-    ring = _ring(m)
-    return _read_only(np.array([ring.powers[(m - k) % m] for k in range(ring.phi)],
-                               dtype=np.int64).T)
+    return _powers(m, -np.arange(_ring(m).phi))
 
 
 @lru_cache(maxsize=32)
@@ -714,38 +778,52 @@ def _unit_circle_fixed(m: int) -> np.ndarray:
                                     for f in (mpmath.cos, mpmath.sin)], dtype=object))
 
 
-def complex_images(xs) -> np.ndarray:
-    """Float images of a sequence of elements, each within relative error
-    2^-50 of the truth, as ``to_complex`` promises.
+def complex_images(m: int, coords: np.ndarray, den: int) -> np.ndarray:
+    """Float images (K,) of the elements coords[:, i] / den of a (phi, K)
+    coordinate stack over Q(zeta_m), each within relative error 2^-50 of
+    the truth, as ``to_complex`` promises.
 
-    m = 2, 4, 6 take to_complex's closed forms.  Elsewhere the parts are
-    fixed-point sums S = sum_k c_k F_k with the integers F_k of
+    m = 2, 4, 6 take to_complex's closed forms: quotients of integers below
+    2^51, each exact in float64, so one correctly rounded division gives
+    the value of to_complex's correctly rounded Fraction.  Elsewhere the
+    parts are fixed-point sums S = sum_k c_k F_k with the integers F_k of
     _unit_circle_fixed: exact integers, each within A = sum_k |c_k| of
     2^120 times the true part, so a part that is exactly 0 (found by the
     integer conjugation map) is set to 0.  Python rounds S / (den 2^120)
     correctly; where IMAGE_MARGIN A <= |S_re| + |S_im| the error is below
-    1.5 * 2^-53 |x|.  Every entry that test leaves open takes to_complex."""
-    out = np.zeros(len(xs), dtype=complex)
-    generic: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        if x.is_zero():
-            continue
-        if x.m in (2, 4, 6):
-            out[i] = x.to_complex()
-        else:
-            generic.setdefault(x.m, []).append(i)
-    for m, where in generic.items():
-        phi = _ring(m).phi
-        coords = np.array([xs[i].num for i in where], dtype=object).T
-        eye, conj = np.eye(phi, dtype=np.int64), _conj_map(m)
-        parts = _unit_circle_fixed(m) @ coords
-        parts[0][~(coordinate_map(eye + conj, coords) != 0).any(axis=0)] = 0
-        parts[1][~(coordinate_map(eye - conj, coords) != 0).any(axis=0)] = 0
-        spread = np.abs(coords).sum(axis=0)
-        for i, re, im, a in zip(where, parts[0].tolist(), parts[1].tolist(), spread.tolist()):
-            if a * IMAGE_MARGIN <= abs(re) + abs(im):
-                scale = xs[i].den << FIXED_BITS
-                out[i] = complex(re / scale, im / scale)
+    1.5 * 2^-53 |x|.  Both tests and both quotients are the same for any
+    common multiple of an element's coordinates and den, so the stack's one
+    den gives the image of each reduced element.  Every entry that the
+    tests leave open takes to_complex."""
+    out = np.zeros(coords.shape[1], dtype=complex)
+    where = np.flatnonzero(coords.any(axis=0))
+    coords = coords[:, where]
+    if m in (2, 4, 6):
+        if den < 2 ** 51 and int(np.abs(coords).max(initial=0)) < 2 ** 51:
+            c = coords.astype(np.float64)
+            if m == 6:
+                out.real[where] = (2 * c[0] + c[1]) / (2 * den)
+                out.imag[where] = c[1] / den * _SQRT3_HALF
             else:
-                out[i] = xs[i].to_complex()
+                out.real[where] = c[0] / den
+                if m == 4:
+                    out.imag[where] = c[1] / den
+        else:
+            for i, num in zip(where.tolist(), coords.T.tolist()):
+                out[i] = CycScalar(m, tuple(num), den).to_complex()
+        return out
+    phi = coords.shape[0]
+    coords = coords.astype(object)
+    eye, conj = np.eye(phi, dtype=np.int64), _conj_map(m)
+    parts = _unit_circle_fixed(m) @ coords
+    parts[0][~(coordinate_map(eye + conj, coords) != 0).any(axis=0)] = 0
+    parts[1][~(coordinate_map(eye - conj, coords) != 0).any(axis=0)] = 0
+    spread = np.abs(coords).sum(axis=0)
+    scale = den << FIXED_BITS
+    for i, num, re, im, a in zip(where.tolist(), coords.T.tolist(), parts[0].tolist(),
+                                 parts[1].tolist(), spread.tolist()):
+        if a * IMAGE_MARGIN <= abs(re) + abs(im):
+            out[i] = complex(re / scale, im / scale)
+        else:
+            out[i] = CycScalar(m, tuple(num), den).to_complex()
     return out

@@ -1,22 +1,49 @@
 """Exact construction of every walk-operator matrix defined by a digraph.
 
-All stored entries are exact cyclotomic-rational scalars.  The boundary
-matrix and the normalized Hermitian adjacency matrix contain 1/sqrt(degree)
-factors that live outside the field; those two are kept in factored form,
-an exact core with an inverse-square-root degree annotation on the rows
-and/or columns.  Products where two annotations meet fold into exact
-rational diagonal factors, so every product the library forms (the coin,
-the transfer matrix, the discriminant) stays inside the field.
+An ``OpMatrix`` is one integer coordinate stack over one denominator, as in
+``cyclotomic``'s arrays of elements: entry [i, j] is
+sum_k coords[k, i, j] zeta_m^k / den, with ``coords`` of shape
+(phi(m), rows, cols) in int64 or Python ints and ``den`` a positive
+integer.  The stack is kept reduced (den coprime to the coordinates, den = 1
+for a zero matrix), so equal matrices over one field have equal stacks.
+
+The boundary matrix and the normalized Hermitian adjacency matrix contain
+1/sqrt(degree) factors that live outside the field; those two carry an
+inverse-square-root degree annotation ``row_sqrt``/``col_sqrt`` beside
+their exact stack.  Where two annotations d meet on the inner index of a
+product they fold into the integer column scale L/d, L = lcm(d), with den
+multiplied by L, so every product the library forms (the coin, the
+transfer matrix, the discriminant) stays inside the field.
+
+A product makes the phi^2 integer products of the coordinate planes in one
+``_exact_matmul`` and folds zeta^(i + j) back onto the basis with one
+integer coordinate map (``product_map``); operands over different fields
+are first lifted to the lcm of their orders.  Every int64 step is proven
+from the maxima (``exact_ints``) and runs on Python ints otherwise.  The
+builders fill their stacks from the arrays of ``ArcSpace``.  ``data``, the
+entries as ``CycScalar`` rows, is made on first read and kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar, complex_images, make_root
+from .cyclotomic import (
+    Angle,
+    CycScalar,
+    _conj_map,
+    _exact_matmul,
+    complex_images,
+    coordinate_map,
+    exact_ints,
+    lift_map,
+    product_map,
+    zeta_coords,
+    zeta_power_map,
+)
 from .digraph import ArcSpace, Digraph, NoArcsError, arc_space, digons
 
 
@@ -48,53 +75,115 @@ def arc_space_index(space: ArcSpace) -> IndexSpace:
     return IndexSpace("arc", space.arcs)
 
 
+def _reduced(coords: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """coords and den divided by their common gcd; coords as int64 where
+    they fit, read-only."""
+    coords = exact_ints(coords, 1)
+    if not coords.any():
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, int(np.gcd.reduce(coords, axis=None)))
+        if g > 1:
+            coords, den = exact_ints(coords // g, 1), den // g
+    coords.flags.writeable = False
+    return coords, den
+
+
 class OpMatrix:
-    """Dense exact matrix with named row/column index spaces.
+    """Dense exact matrix with named row/column index spaces (module docstring).
 
     ``row_sqrt``/``col_sqrt``, when set, are positive-integer vectors d such
-    that the represented matrix is diag(1/sqrt(d)) * data (resp. on the
-    right).  Index spaces and annotations must agree in products.
+    that the represented matrix is diag(1/sqrt(d)) * core (resp. on the
+    right).  Index spaces and annotations must agree in products.  The
+    constructor takes rows of ``CycScalar``s; ``from_coords`` takes a stack.
     """
 
-    __slots__ = ("row_space", "col_space", "data", "row_sqrt", "col_sqrt")
+    __slots__ = ("row_space", "col_space", "m", "coords", "den", "row_sqrt", "col_sqrt",
+                 "_data")
 
     def __init__(self, row_space, col_space, data, row_sqrt=None, col_sqrt=None):
+        rows = tuple(tuple(row) for row in data)
+        if len(rows) != row_space.dim:
+            raise ValueError("row count does not match row space")
+        if rows and any(len(r) != col_space.dim for r in rows):
+            raise ValueError("column count does not match column space")
+        m = math.lcm(*{x.m for row in rows for x in row}) if rows and rows[0] else 2
+        lifted = [[x.lift(m) for x in row] for row in rows]
+        den = math.lcm(1, *{x.den for row in lifted for x in row})
+        coords = np.array([[[c * (den // x.den) for c in x.num] for x in row] for row in lifted],
+                          dtype=object).reshape(row_space.dim, col_space.dim, len(zeta_coords(m)))
+        self._set(row_space, col_space, m, np.moveaxis(coords, -1, 0), den, row_sqrt, col_sqrt)
+        self._data = rows
+
+    @classmethod
+    def from_coords(cls, row_space, col_space, m: int, coords, den: int = 1,
+                    row_sqrt=None, col_sqrt=None) -> "OpMatrix":
+        """The matrix sum_k coords[k] zeta_m^k / den of an integer stack
+        (phi(m), rows, cols) and a positive den."""
+        self = object.__new__(cls)
+        self._set(row_space, col_space, m, coords, den, row_sqrt, col_sqrt)
+        self._data = None
+        return self
+
+    def _set(self, row_space, col_space, m, coords, den, row_sqrt, col_sqrt):
+        phi = zeta_coords(m).shape[0]
+        if coords.shape != (phi, row_space.dim, col_space.dim):
+            raise ValueError(f"coordinate stack of shape {coords.shape} does not match "
+                             f"({phi}, {row_space.dim}, {col_space.dim})")
+        if den < 1:
+            raise ValueError("denominator must be positive")
         self.row_space = row_space
         self.col_space = col_space
-        self.data = tuple(tuple(row) for row in data)
-        if len(self.data) != row_space.dim:
-            raise ValueError("row count does not match row space")
-        if self.data and any(len(r) != col_space.dim for r in self.data):
-            raise ValueError("column count does not match column space")
+        self.m = m
+        self.coords, self.den = _reduced(coords, int(den))
         self.row_sqrt = tuple(row_sqrt) if row_sqrt is not None else None
         self.col_sqrt = tuple(col_sqrt) if col_sqrt is not None else None
+
+    def _like(self, coords, den, m=None) -> "OpMatrix":
+        return OpMatrix.from_coords(self.row_space, self.col_space, m or self.m, coords, den,
+                                    self.row_sqrt, self.col_sqrt)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(space: IndexSpace) -> "OpMatrix":
-        one, zero = CycScalar.rational(1), CycScalar.rational(0)
-        n = space.dim
-        return OpMatrix(space, space,
-                        [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return OpMatrix.from_coords(space, space, 2, np.eye(space.dim, dtype=np.int64)[None])
 
     @staticmethod
     def ones(space: IndexSpace) -> "OpMatrix":
-        one = CycScalar.rational(1)
-        n = space.dim
-        return OpMatrix(space, space, [[one] * n for _ in range(n)])
+        return OpMatrix.from_coords(space, space, 2,
+                                    np.ones((1, space.dim, space.dim), dtype=np.int64))
 
     @staticmethod
     def zeros(row_space: IndexSpace, col_space: IndexSpace) -> "OpMatrix":
-        zero = CycScalar.rational(0)
-        return OpMatrix(row_space, col_space,
-                        [[zero] * col_space.dim for _ in range(row_space.dim)])
+        return OpMatrix.from_coords(row_space, col_space, 2,
+                                    np.zeros((1, row_space.dim, col_space.dim), dtype=np.int64))
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.row_space.dim, self.col_space.dim)
+
+    @property
+    def data(self) -> tuple[tuple[CycScalar, ...], ...]:
+        """The entries as rows of ``CycScalar``s (of the core, when annotated),
+        made from the stack on first read."""
+        if self._data is None:
+            m, den = self.m, self.den
+            # equal entries share one CycScalar (most are 0)
+            made: dict[tuple, CycScalar] = {}
+
+            def scalar(num):
+                num = tuple(num)
+                x = made.get(num)
+                if x is None:
+                    x = made[num] = CycScalar(m, num, den)
+                return x
+
+            self._data = tuple(tuple(map(scalar, row))
+                               for row in np.moveaxis(self.coords, 0, -1).tolist())
+        return self._data
 
     def entry(self, i: int, j: int) -> CycScalar:
         if self.row_sqrt is not None or self.col_sqrt is not None:
@@ -104,6 +193,14 @@ class OpMatrix:
 
     def is_square(self) -> bool:
         return self.row_space == self.col_space
+
+    def _lifted(self, m: int) -> np.ndarray:
+        """The stack over Q(zeta_m), m a multiple of self.m."""
+        if m == self.m:
+            return self.coords
+        phi, rows, cols = self.coords.shape
+        mat = lift_map(self.m, m)
+        return coordinate_map(mat, self.coords.reshape(phi, -1)).reshape(-1, rows, cols)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -120,28 +217,22 @@ class OpMatrix:
         else:
             raise ValueError("one-sided square-root annotation in product; "
                              "the result would leave the exact field")
-        n, k, m = self.row_space.dim, self.col_space.dim, other.col_space.dim
-        a, b = self.data, other.data
-        scale = None if mid is None else [Fraction(1, d) for d in mid]
-        zero = CycScalar.rational(0)
-        out = []
-        for i in range(n):
-            arow = a[i]
-            orow = [zero] * m
-            for t in range(k):
-                x = arow[t]
-                if x.is_zero():
-                    continue
-                if scale is not None:
-                    x = x * scale[t]
-                brow = b[t]
-                for j in range(m):
-                    y = brow[j]
-                    if not y.is_zero():
-                        orow[j] = orow[j] + x * y
-            out.append(orow)
-        return OpMatrix(self.row_space, other.col_space, out,
-                        row_sqrt=self.row_sqrt, col_sqrt=other.col_sqrt)
+        m = math.lcm(self.m, other.m)
+        a, b = self._lifted(m), other._lifted(m)
+        den = self.den * other.den
+        if mid is not None:
+            lcm = math.lcm(*mid)
+            a = exact_ints(a * np.array([lcm // d for d in mid], dtype=object), 1)
+            den *= lcm
+        phi, rows, inner = a.shape
+        cols = b.shape[2]
+        # planes[i, j] = a[i] @ b[j], all phi^2 of them from one product
+        planes = _exact_matmul(a.reshape(phi * rows, inner),
+                               np.moveaxis(b, 0, 1).reshape(inner, phi * cols))
+        planes = planes.reshape(phi, rows, phi, cols).swapaxes(1, 2).reshape(phi * phi, -1)
+        coords = coordinate_map(product_map(m), planes).reshape(phi, rows, cols)
+        return OpMatrix.from_coords(self.row_space, other.col_space, m, coords, den,
+                                    row_sqrt=self.row_sqrt, col_sqrt=other.col_sqrt)
 
     def _require_same_frame(self, other: "OpMatrix"):
         if self.row_space != other.row_space or self.col_space != other.col_space:
@@ -149,31 +240,39 @@ class OpMatrix:
         if self.row_sqrt != other.row_sqrt or self.col_sqrt != other.col_sqrt:
             raise ValueError("square-root annotation mismatch")
 
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+    def _combined(self, other: "OpMatrix", sign: int) -> "OpMatrix":
         self._require_same_frame(other)
-        return OpMatrix(self.row_space, self.col_space,
-                        [[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)],
-                        row_sqrt=self.row_sqrt, col_sqrt=self.col_sqrt)
+        m = math.lcm(self.m, other.m)
+        den = math.lcm(self.den, other.den)
+        coords = (self._lifted(m).astype(object) * (den // self.den)
+                  + sign * other._lifted(m).astype(object) * (den // other.den))
+        return self._like(coords, den, m)
+
+    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+        return self._combined(other, 1)
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        self._require_same_frame(other)
-        return OpMatrix(self.row_space, self.col_space,
-                        [[x - y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)],
-                        row_sqrt=self.row_sqrt, col_sqrt=self.col_sqrt)
+        return self._combined(other, -1)
 
     def scaled(self, c) -> "OpMatrix":
-        return OpMatrix(self.row_space, self.col_space,
-                        [[x * c for x in row] for row in self.data],
-                        row_sqrt=self.row_sqrt, col_sqrt=self.col_sqrt)
+        """c times the matrix, c an int, Fraction or CycScalar."""
+        c = c if isinstance(c, CycScalar) else CycScalar.rational(c)
+        m = math.lcm(self.m, c.m)
+        c = c.lift(m)
+        mult = sum(x * zeta_power_map(m, k).astype(object) for k, x in enumerate(c.num))
+        phi, rows, cols = self.coords.shape
+        coords = mult @ self._lifted(m).astype(object).reshape(len(mult), -1)
+        return self._like(coords.reshape(-1, rows, cols), self.den * c.den, m)
 
     def __neg__(self):
         return self.scaled(-1)
 
     def adjoint(self) -> "OpMatrix":
-        n, m = self.shape
-        data = [[self.data[i][j].conj() for i in range(n)] for j in range(m)]
-        return OpMatrix(self.col_space, self.row_space, data,
-                        row_sqrt=self.col_sqrt, col_sqrt=self.row_sqrt)
+        coords = np.swapaxes(self.coords, 1, 2)
+        if coords.shape[0] > 1:
+            coords = coordinate_map(_conj_map(self.m), coords)
+        return OpMatrix.from_coords(self.col_space, self.row_space, self.m, coords, self.den,
+                                    row_sqrt=self.col_sqrt, col_sqrt=self.row_sqrt)
 
     @property
     def H(self) -> "OpMatrix":
@@ -198,46 +297,40 @@ class OpMatrix:
             raise ValueError("trace of a non-square matrix")
         if self.row_sqrt != self.col_sqrt:
             raise ValueError("trace of an asymmetrically annotated matrix")
-        total = CycScalar.rational(0)
-        for i in range(self.row_space.dim):
-            x = self.data[i][i]
-            if self.row_sqrt is not None:
-                x = x * Fraction(1, self.row_sqrt[i])
-            total = total + x
-        return total
+        diag = np.diagonal(self.coords, axis1=1, axis2=2).astype(object)
+        lcm = 1
+        if self.row_sqrt is not None:
+            lcm = math.lcm(1, *self.row_sqrt)
+            diag = diag * np.array([lcm // d for d in self.row_sqrt], dtype=object)
+        return CycScalar(self.m, tuple(int(x) for x in diag.sum(axis=1)), self.den * lcm)
 
     # -- predicates ---------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, OpMatrix):
             return NotImplemented
-        return (self.row_space == other.row_space and self.col_space == other.col_space
-                and self.row_sqrt == other.row_sqrt and self.col_sqrt == other.col_sqrt
-                and self.data == other.data)
+        if (self.row_space != other.row_space or self.col_space != other.col_space
+                or self.row_sqrt != other.row_sqrt or self.col_sqrt != other.col_sqrt
+                or self.den != other.den):
+            return False
+        m = math.lcm(self.m, other.m)
+        return bool(np.array_equal(self._lifted(m), other._lifted(m)))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.data for x in row)
+        return not self.coords.any()
 
     def is_identity(self) -> bool:
         """Exact identity test, annotation-aware.
 
         With matching row/column annotations d the matrix equals I exactly
         when the core equals diag(d)."""
-        if not self.is_square():
-            return False
-        if self.row_sqrt != self.col_sqrt:
+        if not self.is_square() or self.row_sqrt != self.col_sqrt:
             return False
         n = self.row_space.dim
-        for i in range(n):
-            for j in range(n):
-                x = self.data[i][j]
-                if i == j:
-                    want = 1 if self.row_sqrt is None else self.row_sqrt[i]
-                    if x != want:
-                        return False
-                elif not x.is_zero():
-                    return False
-        return True
+        want = np.array(self.row_sqrt or (1,) * n, dtype=object) * self.den
+        plane = self.coords[0]
+        return (not self.coords[1:].any() and np.count_nonzero(plane) == n
+                and bool((np.diagonal(plane) == want).all()))
 
     def is_self_adjoint(self) -> bool:
         return self.is_square() and self == self.adjoint()
@@ -248,7 +341,8 @@ class OpMatrix:
         """Floating image: every entry within relative error 2^-50, as
         ``CycScalar.to_complex`` promises (``complex_images``)."""
         n, m = self.shape
-        out = complex_images([x for row in self.data for x in row]).reshape(n, m)
+        out = complex_images(self.m, self.coords.reshape(len(self.coords), -1),
+                             self.den).reshape(n, m)
         if self.row_sqrt is not None:
             scale = np.array([d ** -0.5 for d in self.row_sqrt])
             out = scale[:, None] * out
@@ -296,115 +390,118 @@ class OpMatrix:
 
 
 # -- builders -----------------------------------------------------------------
+#
+# Every builder fills its stack from the arrays of the arc context (or the
+# arc set, for H_eta); none forms an OpMatrix product.
+
+
+def degree_scaled(mat: np.ndarray, deg: np.ndarray, growth: int = 1) -> tuple[np.ndarray, int]:
+    """(diag(L / deg) mat, L) with L = lcm(deg): the integer matrix over one
+    denominator L that equals diag(1 / deg) mat.  It is int64 when growth
+    times its largest entry stays below 2**63 (``exact_ints``), Python ints
+    otherwise."""
+    lcm = math.lcm(*set(deg.tolist()))
+    scale = np.array([lcm // d for d in deg.tolist()], dtype=object)
+    scale = exact_ints(scale, growth * int(np.abs(mat).max(initial=0)))
+    return scale[:, None] * mat, lcm
+
+
+def _phases(space: ArcSpace, eta: Angle) -> np.ndarray:
+    """(phi, arcs) coordinates of e^{i theta(a)} = zeta_m^(p theta_weight(a))."""
+    m = eta.order
+    return zeta_coords(m)[:, (eta.p * np.asarray(space.theta_weight)) % m]
+
+
+def _arc_matrix(space: ArcSpace, m: int, coords: np.ndarray, den: int = 1) -> OpMatrix:
+    sp = arc_space_index(space)
+    return OpMatrix.from_coords(sp, sp, m, coords, den)
+
+
+def _incidence(g: Digraph, ends: np.ndarray, row_sqrt=None) -> OpMatrix:
+    """[v = ends[a]] on positive-degree vertices x arcs."""
+    space = arc_space(g)
+    vs = vertex_space(g, positive_degree_only=True)
+    core = np.array(vs.labels, dtype=np.int64)[:, None] == ends[None, :]
+    return OpMatrix.from_coords(vs, arc_space_index(space), 2, core[None].astype(np.int64),
+                                row_sqrt=row_sqrt)
 
 
 def build_K(g: Digraph) -> OpMatrix:
     """Boundary matrix: K[v,a] = delta(v, t(a)) / sqrt(deg v), row-annotated."""
     space = arc_space(g)
-    vs = vertex_space(g, positive_degree_only=True)
-    one, zero = CycScalar.rational(1), CycScalar.rational(0)
-    rows = []
-    for v in vs.labels:
-        rows.append([one if space.terminus[j] == v else zero for j in range(len(space))])
-    return OpMatrix(vs, arc_space_index(space), rows,
-                    row_sqrt=tuple(space.degree[v] for v in vs.labels))
+    return _incidence(g, space.t, tuple(d for d in space.degree if d))
 
 
 def build_S(g: Digraph) -> OpMatrix:
     """Plain shift: S[a,b] = delta(a, b^-1)."""
     space = arc_space(g)
-    one, zero = CycScalar.rational(1), CycScalar.rational(0)
-    inv = space.inv.tolist()
-    sp = arc_space_index(space)
-    return OpMatrix(sp, sp, [[one if b == i else zero for b in inv] for i in range(len(inv))])
+    n = len(space)
+    coords = np.zeros((1, n, n), dtype=np.int64)
+    coords[0, np.arange(n), space.inv] = 1
+    return _arc_matrix(space, 2, coords)
 
 
 def build_S_theta(g: Digraph, eta: Angle) -> OpMatrix:
     """Twisted shift: S[a,b] = e^{i*theta(b)} delta(a, b^-1)."""
     space = arc_space(g)
-    m = eta.order
-    zero = CycScalar.rational(0, m)
-    root = make_root(eta)
-    phases = {0: CycScalar.rational(1, m), 1: root, -1: root.conj()}
+    phases = _phases(space, eta)
     n = len(space)
-    sp = arc_space_index(space)
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        j = space.inv[i]
-        row[j] = phases[space.theta_weight[j]]
-        rows.append(row)
-    return OpMatrix(sp, sp, rows)
+    coords = np.zeros((len(phases), n, n), dtype=np.int64)
+    coords[:, np.arange(n), space.inv] = phases[:, space.inv]
+    return _arc_matrix(space, eta.order, coords)
 
 
 def build_D_theta(g: Digraph, eta: Angle) -> OpMatrix:
     """Diagonal of arc phases e^{i*theta(a)}."""
     space = arc_space(g)
-    m = eta.order
-    zero = CycScalar.rational(0, m)
-    root = make_root(eta)
-    phases = {0: CycScalar.rational(1, m), 1: root, -1: root.conj()}
+    phases = _phases(space, eta)
     n = len(space)
-    sp = arc_space_index(space)
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        row[i] = phases[space.theta_weight[i]]
-        rows.append(row)
-    return OpMatrix(sp, sp, rows)
+    coords = np.zeros((len(phases), n, n), dtype=np.int64)
+    coords[:, np.arange(n), np.arange(n)] = phases
+    return _arc_matrix(space, eta.order, coords)
 
 
 def build_C(g: Digraph) -> OpMatrix:
-    """Grover coin C = 2K*K - I, assembled directly in the exact field."""
+    """Grover coin C = 2K*K - I = diag(1/deg t) Chat, and Chat = S (S Chat)."""
     space = arc_space(g)
-    n = len(space)
-    sp = arc_space_index(space)
-    zero = CycScalar.rational(0)
-    rows = []
-    for i in range(n):
-        ti = space.terminus[i]
-        d = space.degree[ti]
-        row = []
-        for j in range(n):
-            if space.terminus[j] == ti:
-                row.append(CycScalar.rational(Fraction(2, d) - (1 if i == j else 0)))
-            else:
-                row.append(zero)
-        rows.append(row)
-    return OpMatrix(sp, sp, rows)
+    core, den = degree_scaled(space.s_chat[space.inv], space.deg[space.t])
+    return _arc_matrix(space, 2, core[None], den)
 
 
 def build_U_theta(g: Digraph, eta: Angle) -> OpMatrix:
-    """Transfer matrix U_theta = S_theta C."""
-    return build_S_theta(g, eta) @ build_C(g)
+    """Transfer matrix U_theta = S_theta C: row a of S_theta holds
+    e^{i theta(a^-1)} in column a^-1, and row a^-1 of C is row a of S C =
+    diag(1/deg o) S Chat, so U[a, c] = e^{i theta(a^-1)} s_chat[a, c] / deg o(a)."""
+    space = arc_space(g)
+    phases = _phases(space, eta)[:, space.inv]
+    core, den = degree_scaled(space.s_chat, space.deg[space.o],
+                              int(np.abs(phases).max()))
+    return _arc_matrix(space, eta.order, phases[:, :, None] * core[None], den)
 
 
 def build_U_grover(g: Digraph) -> OpMatrix:
     """Grover transfer matrix of the underlying graph: U = S C."""
-    return build_S(g) @ build_C(g)
+    return build_U_theta(g, Angle(0, 1))
+
+
+def _hermitian_coords(g: Digraph, eta: Angle) -> np.ndarray:
+    """(phi, n, n) coordinates of H_eta: the codes adj + 2 adj^T (no arc,
+    one-way forward, one-way backward, digon) index (0, e^{i eta},
+    e^{-i eta}, 1)."""
+    m = eta.order
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    if g.arcs:
+        adj[tuple(np.array(sorted(g.arcs)).T)] = 1
+    z = zeta_coords(m)
+    table = np.stack([np.zeros(len(z), dtype=np.int64), z[:, eta.p % m], z[:, -eta.p % m],
+                      z[:, 0]], axis=1)
+    return table[:, adj + 2 * adj.T]
 
 
 def build_H_eta(g: Digraph, eta: Angle) -> OpMatrix:
     """eta-Hermitian adjacency matrix on the full vertex set."""
-    m = eta.order
-    zero, one = CycScalar.rational(0, m), CycScalar.rational(1, m)
-    root = make_root(eta)
-    rows = []
-    for x in range(g.n):
-        row = []
-        for y in range(g.n):
-            fwd, bwd = (x, y) in g.arcs, (y, x) in g.arcs
-            if fwd and bwd:
-                row.append(one)
-            elif fwd:
-                row.append(root)
-            elif bwd:
-                row.append(root.conj())
-            else:
-                row.append(zero)
-        rows.append(row)
     vs = vertex_space(g)
-    return OpMatrix(vs, vs, rows)
+    return OpMatrix.from_coords(vs, vs, eta.order, _hermitian_coords(g, eta))
 
 
 def build_H_tilde(g: Digraph, eta: Angle) -> OpMatrix:
@@ -414,39 +511,22 @@ def build_H_tilde(g: Digraph, eta: Angle) -> OpMatrix:
     eta-Hermitian matrix restricted to them."""
     space = arc_space(g)
     vs = vertex_space(g, positive_degree_only=True)
-    full = build_H_eta(g, eta)
-    rows = [[full.data[x][y] for y in vs.labels] for x in vs.labels]
+    keep = np.array(vs.labels, dtype=np.int64)
+    coords = _hermitian_coords(g, eta)[:, keep[:, None], keep[None, :]]
     d = tuple(space.degree[v] for v in vs.labels)
-    return OpMatrix(vs, vs, rows, row_sqrt=d, col_sqrt=d)
+    return OpMatrix.from_coords(vs, vs, eta.order, coords, row_sqrt=d, col_sqrt=d)
 
 
 def build_F(g: Digraph) -> tuple[OpMatrix, OpMatrix]:
     """Terminus and origin incidence matrices (F_t, F_o)."""
     space = arc_space(g)
-    vs = vertex_space(g, positive_degree_only=True)
-    one, zero = CycScalar.rational(1), CycScalar.rational(0)
-    sp = arc_space_index(space)
-    ft = [[one if space.terminus[j] == v else zero for j in range(len(space))]
-          for v in vs.labels]
-    fo = [[one if space.origin[j] == v else zero for j in range(len(space))]
-          for v in vs.labels]
-    return OpMatrix(vs, sp, ft), OpMatrix(vs, sp, fo)
+    return _incidence(g, space.t), _incidence(g, space.o)
 
 
 def build_R(g: Digraph) -> OpMatrix:
     """Digon locator: R[a,b] = 1 iff the pair (t(b), o(a)) is a digon arc."""
     space = arc_space(g)
-    dig = digons(g)
-    one, zero = CycScalar.rational(1), CycScalar.rational(0)
-    n = len(space)
-    sp = arc_space_index(space)
-    rows = []
-    for i in range(n):
-        oi = space.origin[i]
-        row = []
-        for j in range(n):
-            tb = space.terminus[j]
-            pair = (min(tb, oi), max(tb, oi))
-            row.append(one if tb != oi and pair in dig else zero)
-        rows.append(row)
-    return OpMatrix(sp, sp, rows)
+    digon = np.zeros((g.n, g.n), dtype=np.int64)
+    for x, y in digons(g):
+        digon[x, y] = digon[y, x] = 1
+    return _arc_matrix(space, 2, digon[space.o[:, None], space.t[None, :]][None])

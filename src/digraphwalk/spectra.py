@@ -13,10 +13,11 @@ Every int64 sum it forms has at most n + 1 <= 65 products of residues below
 2^28, so it stays below 2^63 for n <= 64.  ``charpoly_batch`` reduces an
 integer stack into it; ``hermitian_charpoly_batch`` feeds it H_eta at
 angles of order 2, 4 and 6 from a 0/1 adjacency stack, each entry read from
-a four-entry residue table per prime.  Each prime is 1 (mod 12), so zeta_4
-and zeta_6 map to roots of their cyclotomic polynomials mod p; a Hermitian
-charpoly over those rings has integer coefficients, which the residues then
-determine.
+a four-entry residue table per prime, and ``charpoly_exact`` feeds it one
+self-adjoint operator whose coordinate stack is integral over Z[zeta_4] or
+Z[zeta_6].  Each prime is 1 (mod 12), so zeta_4 and zeta_6 map to roots of
+their cyclotomic polynomials mod p; a Hermitian charpoly over those rings
+has integer coefficients, which the residues then determine.
 The transfer-matrix spectrum is assembled from the discriminant
 spectrum through phi(z) = (z + 1/z)/2 together with the exact +-1
 multiplicities from the closed-path classification; a dense complex
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -181,12 +182,13 @@ def _symmetric_crt(res: np.ndarray, primes) -> list[list[int]]:
 
 
 def _charpoly_mod(stack: np.ndarray, count: int, residues) -> list[list[int]]:
-    """Charpolys of a (B, n, n) stack, n >= 1, modulo the first ``count``
-    primes, rebuilt by symmetric CRT; ``residues(chunk, pk)`` gives the
-    (P, b, n, n) residues of at most _KERNEL_ENTRIES of them at a time."""
+    """Charpolys of the B matrices of a (B, ..., n, n) stack, n >= 1, modulo
+    the first ``count`` primes, rebuilt by symmetric CRT; ``residues(chunk,
+    pk)`` gives the (P, b, n, n) residues of at most _KERNEL_ENTRIES of them
+    at a time."""
     primes = np.array(CHARPOLY_PRIMES[:count], dtype=np.int64)
     out: list[list[int]] = []
-    step = max(1, _KERNEL_ENTRIES // (count * stack.shape[1] ** 2))
+    step = max(1, _KERNEL_ENTRIES // (count * stack.shape[-1] ** 2))
     for lo in range(0, len(stack), step):
         res = residues(stack[lo:lo + step], primes[:, None, None, None])
         out.extend(_symmetric_crt(_berkowitz_mod(res, primes), CHARPOLY_PRIMES[:count]))
@@ -331,54 +333,78 @@ def _classify_ring(coeffs) -> str:
     return "cyclotomic"
 
 
+def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[int] | None:
+    """Charpoly of the matrix of a (phi(m), n, n) integer coordinate stack,
+    m = 4 or 6, whose charpoly is real (similar to a self-adjoint matrix):
+    its coefficients lie in Z[zeta_m] and are real, so they are integers.
+
+    Each entry goes to sum_k c_k r^k mod p, r a root of the m-th cyclotomic
+    polynomial mod p: a ring homomorphism, so every coefficient keeps its
+    residue.  An entry has modulus at most sum_k |c_k|, which gives
+    Hadamard's bound.  None when n = 0 or the prime list is too short."""
+    n = coords.shape[-1]
+    norm = int(np.abs(coords).sum(axis=0).max(initial=0))
+    count = _prime_count(n, norm * norm) if n else None
+    if count is None:
+        return None
+    rk = np.array([[pow(r, k, p) for k in range(len(coords))]
+                   for r, p in zip(_roots_of_unity(m, count).tolist(), CHARPOLY_PRIMES)],
+                  dtype=np.int64)
+
+    def residues(chunk, pk):
+        # residues below 2^28: each product < 2^56, a sum of phi <= 2 below 2^63
+        terms = [(chunk[:, k] % pk).astype(np.int64) * rk[:, k, None, None, None]
+                 for k in range(len(coords))]
+        return sum(terms) % pk
+
+    return _charpoly_mod(coords[None], count, residues)[0]
+
+
 def charpoly_exact(m: OpMatrix) -> CharPoly:
     """Exact characteristic polynomial of a square operator matrix.
 
     Square-root-annotated matrices diag(1/sqrt(d)) A diag(1/sqrt(d)) are
-    handled through the exact similar matrix diag(1/d) A."""
+    handled through the exact similar matrix diag(1/d) A.  When that matrix
+    has integer entries its charpoly is ``charpoly_int``'s; when it has
+    coordinates in Z[zeta_4] or Z[zeta_6] and the input is self-adjoint, it
+    is ``_cyclotomic_charpoly``'s; everything else runs berkowitz_charpoly
+    over the ``CycScalar`` entries."""
     if not m.is_square():
         raise PreconditionError("characteristic polynomial of a non-square matrix")
     n = m.row_space.dim
     if n > MAX_CHARPOLY_DIM:
         raise PreconditionError(f"dimension {n} exceeds the exact-charpoly bound {MAX_CHARPOLY_DIM}")
     self_adjoint = m.is_self_adjoint()
-    if m.row_sqrt is not None or m.col_sqrt is not None:
-        if m.row_sqrt != m.col_sqrt:
-            raise PreconditionError("charpoly of an asymmetrically annotated matrix")
-        d = m.row_sqrt
-        rows = [[m.data[i][j] * Fraction(1, d[i]) for j in range(n)] for i in range(n)]
-    else:
-        rows = [list(r) for r in m.data]
-    ints = _try_integer_rows(rows)
-    if ints is not None:
-        desc = charpoly_int(ints)
+    if m.row_sqrt != m.col_sqrt:
+        raise PreconditionError("charpoly of an asymmetrically annotated matrix")
+    similar = m
+    if m.row_sqrt is not None:
+        scale = lcm(*m.row_sqrt)
+        row_scale = np.array([scale // d for d in m.row_sqrt], dtype=object)
+        similar = OpMatrix.from_coords(m.row_space, m.col_space, m.m,
+                                       m.coords * row_scale[:, None], m.den * scale)
+    desc = None
+    if similar.den == 1 and not similar.coords[1:].any():
+        desc = charpoly_int(similar.coords[0].tolist())
+    elif similar.den == 1 and self_adjoint and m.m in (4, 6):
+        desc = _cyclotomic_charpoly(m.m, similar.coords)
+    if desc is not None:
         coeffs = tuple(CycScalar.rational(c) for c in reversed(desc))
     else:
+        if m.row_sqrt is not None:
+            d = m.row_sqrt
+            rows = [[m.data[i][j] * Fraction(1, d[i]) for j in range(n)] for i in range(n)]
+        else:
+            rows = [list(r) for r in m.data]
         zero = CycScalar.rational(0)
         one = CycScalar.rational(1)
-        desc = berkowitz_charpoly(rows, one, zero)
-        coeffs = tuple(reversed(desc))
+        coeffs = tuple(reversed(berkowitz_charpoly(rows, one, zero)))
     if self_adjoint:
         for c in coeffs:
             if not c.imag_is_zero():
                 raise ArithmeticError("self-adjoint input produced a non-real coefficient")
     ring = _classify_ring(coeffs)
     return CharPoly(coeffs, ring, real_certified=self_adjoint or ring in ("integer", "rational"))
-
-
-def _try_integer_rows(rows) -> list[list[int]] | None:
-    out = []
-    for row in rows:
-        orow = []
-        for x in row:
-            if not x.is_rational():
-                return None
-            f = x.rational_value()
-            if f.denominator != 1:
-                return None
-            orow.append(f.numerator)
-        out.append(orow)
-    return out
 
 
 def cospectral_key(p: CharPoly) -> bytes:

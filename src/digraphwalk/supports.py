@@ -16,10 +16,11 @@ b = (t(c), o(a)).  Each entry is therefore a single product, and its
 positive factors (the coin's 1/deg, the magnitude of U[a, b]) can be
 dropped without changing its sign: the products use sign(S Chat) on the
 left, and the real part of the middle phase is folded into one integer
-weight per arc, den * cos theta(b).  ``_exact_matmul`` runs such a product
-in float64 BLAS when inner dimension * max|left| * max|right| < 2**53:
-then every partial sum is an integer below 2**53, exactly representable
-whatever the summation order.  Beyond that bound it multiplies Python ints.
+weight per arc, den * cos theta(b).  ``cyclotomic._exact_matmul`` runs
+such a product in float64 BLAS when inner dimension * max|left| *
+max|right| < 2**53: then every partial sum is an integer below 2**53,
+exactly representable whatever the summation order.  Beyond that bound it
+multiplies Python ints.
 
 The middle-arc lemma: the three-regime square-support formula holds for
 every digraph.  Since theta(a^-1) = -theta(a), D_theta S_theta = S, so
@@ -42,7 +43,6 @@ products above, never with itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -51,7 +51,9 @@ import numpy as np
 
 from .cyclotomic import (
     Angle,
-    CycScalar,
+    _conj_map,
+    _exact_matmul,
+    coordinate_map,
     exact_ints,
     make_root,
     rational_real_coeffs,
@@ -64,6 +66,7 @@ from .operators import (
     OpMatrix,
     arc_space_index,
     build_S,
+    degree_scaled,
 )
 
 
@@ -109,15 +112,14 @@ def support(m: OpMatrix, sign, real_part: bool = False) -> SupportMatrix:
 
     Pass real_part=True to opt into real-part semantics for complex input."""
     want = _sign_value(sign)
-    if not real_part:
-        for row in m.data:
-            for x in row:
-                if not x.imag_is_zero():
-                    raise PreconditionError(
-                        "matrix has non-real entries; pass real_part=True for "
-                        "real-part semantics")
-    data = tuple(tuple(1 if x.real_part_sign() == want else 0 for x in row)
-                 for row in m.data)
+    # den and the square-root annotations are positive: the signs are those
+    # of the coordinate stack
+    phi = len(m.coords)
+    if not real_part and coordinate_map(np.eye(phi, dtype=np.int64) - _conj_map(m.m),
+                                        m.coords.reshape(phi, -1)).any():
+        raise PreconditionError("matrix has non-real entries; pass real_part=True for "
+                                "real-part semantics")
+    data = tuple(map(tuple, (real_part_signs(m.m, m.coords) == want).view(np.int8).tolist()))
     return SupportMatrix(m.row_space, data, want)
 
 
@@ -138,25 +140,6 @@ def _real_weights(eta: Angle) -> np.ndarray | None:
     weights = np.array([cos.numerator, den, cos.numerator], dtype=np.int64)
     weights.flags.writeable = False
     return weights
-
-
-FLOAT_EXACT = 2 ** 53
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integer product a @ b, exact at any size: int64 from float64 BLAS
-    when inner_dim * max|a| * max|b| < 2**53 (module docstring), otherwise
-    a dtype=object array of Python ints.  The maxima are read in float64:
-    exact below 2**53, and rounding never takes a larger one below it.
-    Python-int operands stay Python ints."""
-    if a.dtype != object and b.dtype != object:
-        fa, fb = a.astype(np.float64), b.astype(np.float64)
-        if (a.shape[-1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0))
-                < FLOAT_EXACT):
-            prod = fa @ fb
-            del fa, fb   # at most one float copy beside the int64 result
-            return prod.astype(np.int64)
-    return a.astype(object) @ b.astype(object)
 
 
 def _square_fold(space: ArcSpace, weights: np.ndarray) -> np.ndarray:
@@ -183,9 +166,7 @@ def _product_signs(space: ArcSpace, eta: Angle, n: int) -> np.ndarray:
     ``_exact_matmul``."""
     m, dim = eta.order, len(space)
     s_chat = space.s_chat
-    lcm = math.lcm(*{d for d in space.degree if d})
-    scale = np.array([lcm // d if d else 0 for d in space.degree], dtype=object)[space.o]
-    w = exact_ints(scale[:, None] * s_chat, 1)
+    w = degree_scaled(s_chat, space.deg[space.o])[0]
     shift = (-eta.p * np.asarray(space.theta_weight)) % m
     cols = [(np.flatnonzero(shift == s), zeta_power_map(m, s)) for s in set(shift.tolist())]
     growth = max(int(np.abs(mat).sum(axis=1).max()) for _, mat in cols)
@@ -406,10 +387,8 @@ def grover_positive_support_regular(g: Digraph) -> SupportMatrix:
     space = arc_space(g)
     s = build_S(g)
     # K*K on the arc space is rational: delta(t(a),t(b))/deg t(a)
-    n = len(space)
-    kk = [[CycScalar.rational(Fraction(1, k)) if space.terminus[a] == space.terminus[b]
-           else CycScalar.rational(0) for b in range(n)] for a in range(n)]
     sp = arc_space_index(space)
-    kk_m = OpMatrix(sp, sp, kk)
-    formula = (s @ kk_m).scaled(k) - s
+    same_t = space.t[:, None] == space.t[None, :]
+    kk = OpMatrix.from_coords(sp, sp, 2, same_t[None].astype(np.int64), den=k)
+    formula = (s @ kk).scaled(k) - s
     return support(formula, "+")

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 from digraphwalk.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
+from digraphwalk.cyclotomic import Angle
 
-from util import FIG_ARCS
+from util import FIG_ARCS, fig_digraph
 
 
 def run(capsys, *argv):
@@ -196,3 +198,20 @@ def test_importing_the_module_entry_point_runs_nothing(capsys):
 
     importlib.import_module("digraphwalk.__main__")
     assert capsys.readouterr() == ("", "")
+
+
+def test_render_text_equals_the_recorded_strings():
+    # every --ops matrix of `build` on the worked example at pi/2 and 2pi/5,
+    # exact and with --floats, as rendered before operators became
+    # coordinate stacks
+    from digraphwalk.cli import _OPERATORS
+
+    golden = json.loads((Path(__file__).parent / "render_text_golden.json").read_text())
+    got = {}
+    for eta in (Angle(1, 2), Angle(2, 5)):
+        for name in _OPERATORS:
+            mat = _OPERATORS[name](fig_digraph(), eta)
+            for floats in (False, True):
+                kind = "floats" if floats else "exact"
+                got[f"{name} {eta.p}/{eta.q} {kind}"] = mat.render_text(floats=floats)
+    assert got == golden

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from digraphwalk.cyclotomic import Angle, CycScalar, make_root
-from digraphwalk import spectra, supports
+from digraphwalk import operators, spectra, supports
+from digraphwalk.enumeration import DIGRAPH_CLASS_COUNTS, enumerate_digraphs
 from digraphwalk.digraph import ArcSpace, Digraph, arc_space, complete_digraph, digons, empty_digraph
 from digraphwalk.operators import (
     NoArcsError,
@@ -24,6 +25,7 @@ from digraphwalk.operators import (
     vertex_space,
 )
 
+import util
 from util import fig_digraph, random_digraph
 
 # arc order used in the worked example: the digon pair (1,0),(0,1), then
@@ -351,3 +353,99 @@ def test_complex_array_equals_entrywise_images_at_generic_orders(monkeypatch):
     # and an infinite margin sends every entry to the per-entry route
     monkeypatch.setattr(cyclotomic, "IMAGE_MARGIN", float("inf"))
     assert all(np.array_equal(m.to_complex_array(), w) for m, w in zip(mats, want))
+
+
+# -- the coordinate stacks against the per-entry oracle ------------------------------
+
+ORACLE_ANGLES = (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3), Angle(1, 1),
+                 Angle(1, 4), Angle(2, 5), Angle(3, 7))
+
+
+def _same(got: OpMatrix, want: util.Dense):
+    assert (got.row_sqrt, got.col_sqrt) == (want.row_sqrt, want.col_sqrt)
+    assert got.data == want.rows
+
+
+def _check_against_oracle(g, eta):
+    """Builders, @ (annotated, mixed-field and plain), adjoint, ==,
+    is_identity, trace, +, -, scaled and power of OpMatrix against the
+    per-entry oracle on one digraph and angle."""
+    k, c, st, dt = build_K(g), build_C(g), build_S_theta(g, eta), build_D_theta(g, eta)
+    ok, oc = util.oracle_K(g), util.oracle_C(g)
+    ost, odt = util.oracle_S_theta(g, eta), util.oracle_D_theta(g, eta)
+    for got, want in ((k, ok), (c, oc), (st, ost), (dt, odt),
+                      (build_S(g), util.oracle_S_theta(g, Angle(0, 1))),
+                      (build_H_eta(g, eta), util.oracle_H_eta(g, eta)),
+                      (build_H_tilde(g, eta), util.oracle_H_eta(g, eta, True))):
+        _same(got, want)
+    u, ou = build_U_theta(g, eta), util.oracle_matmul(ost, oc)   # mixed fields: S_theta C
+    _same(u, ou)
+    _same(st @ c, ou)
+    ok_adj, ou_adj = util.oracle_adjoint(ok), util.oracle_adjoint(ou)
+    _same(k.adjoint(), ok_adj)
+    _same(u.adjoint(), ou_adj)
+    kk = k @ k.adjoint()                                          # annotated
+    _same(kk, util.oracle_matmul(ok, ok_adj))
+    ht = k @ st @ k.adjoint()
+    oht = util.oracle_matmul(util.oracle_matmul(ok, ost), ok_adj)
+    _same(ht, oht)
+    _same(k.adjoint() @ k, util.oracle_matmul(ok_adj, ok))        # K*K: 1/d meets inside
+    uu = u @ u.adjoint()
+    ouu = util.oracle_matmul(ou, ou_adj)
+    _same(uu, ouu)
+    du = dt @ u
+    odu = util.oracle_matmul(odt, ou)
+    ou0 = util.oracle_matmul(util.oracle_S_theta(g, Angle(0, 1)), oc)
+    for a, b, oa, ob in ((ht, build_H_tilde(g, eta), oht, util.oracle_H_eta(g, eta, True)),
+                         (u, u.adjoint(), ou, ou_adj), (du, build_U_grover(g), odu, ou0),
+                         (st, st.adjoint(), ost, util.oracle_adjoint(ost))):
+        assert (a == b) == util.oracle_equal(oa, ob)
+    for a, oa in ((uu, ouu), (kk, util.oracle_matmul(ok, ok_adj)), (u, ou), (c, oc)):
+        assert a.is_identity() == util.oracle_is_identity(oa)
+    _same(du, odu)
+    for a, oa in ((u, ou), (c, oc), (ht, oht), (du, odu)):
+        assert a.trace() == util.oracle_trace(oa)
+    _same(u + dt, util.oracle_combined(ou, odt, 1))
+    _same(u - dt, util.oracle_combined(ou, odt, -1))
+    _same(ht - build_H_tilde(g, eta), util.oracle_combined(oht, util.oracle_H_eta(g, eta, True), -1))
+    root = make_root(eta)
+    for s in (Fraction(-2, 3), root + Fraction(1, 2)):
+        _same(u.scaled(s), util.oracle_scaled(ou, s))
+    _same(u.power(3), util.oracle_power(ou, 3))
+    return 1
+
+
+def test_operations_equal_the_per_entry_oracle_orders_two_to_four():
+    checked = 0
+    for order in (2, 3, 4):
+        for g in enumerate_digraphs(order):
+            if g.arcs:
+                for eta in ORACLE_ANGLES:
+                    checked += _check_against_oracle(g, eta)
+    assert checked == sum(DIGRAPH_CLASS_COUNTS[n] - 1 for n in (2, 3, 4)) * len(ORACLE_ANGLES)
+
+
+def test_python_int_stacks_equal_the_per_entry_oracle(monkeypatch):
+    from digraphwalk import cyclotomic
+
+    # with bounds of 1 no step can be proven to fit int64 or float64
+    monkeypatch.setattr(cyclotomic, "INT64_BOUND", 1)
+    monkeypatch.setattr(cyclotomic, "FLOAT_EXACT", 1)
+    matmul = cyclotomic._exact_matmul
+    dtypes = set()
+
+    def recorded(a, b):
+        out = matmul(a, b)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(operators, "_exact_matmul", recorded)
+    rng = random.Random(2718)
+    graphs = [fig_digraph()] + [random_digraph(rng, n, 0.5) for n in (3, 4, 5)]
+    for g in graphs:
+        if g.arcs:
+            for eta in (Angle(1, 2), Angle(2, 3), Angle(2, 5), Angle(3, 7)):
+                _check_against_oracle(g, eta)
+                u = build_U_theta(g, eta)
+                assert (u @ u).coords.dtype == object
+    assert dtypes == {np.dtype(object)}

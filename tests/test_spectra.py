@@ -6,6 +6,7 @@ import pytest
 
 from digraphwalk.cyclotomic import Angle, CycScalar
 from digraphwalk.digraph import Digraph, PreconditionError, complete_digraph, digon_cut_switch, make_Y
+from digraphwalk.enumeration import enumerate_digraphs
 from digraphwalk.operators import (
     IndexSpace,
     OpMatrix,
@@ -25,6 +26,7 @@ from digraphwalk.spectra import (
     spectrum_U_via_mapping,
 )
 
+import util
 from util import fig_digraph, random_connected_digraph, random_digraph
 
 
@@ -366,3 +368,69 @@ def test_hermitian_kernel_refuses_non_binary_stacks():
     adj[0, 0, 1] = -1
     with pytest.raises(PreconditionError):
         hermitian_charpoly_batch(adj, Angle(1, 3))
+
+
+# -- the integer route of charpoly_exact over Z[zeta_4] and Z[zeta_6] ----------------
+
+
+def _berkowitz_reference(rows, self_adjoint: bool):
+    """charpoly_exact's result from berkowitz_charpoly over CycScalar rows."""
+    from digraphwalk.spectra import CharPoly, _classify_ring, berkowitz_charpoly
+
+    coeffs = tuple(reversed(berkowitz_charpoly([list(r) for r in rows], CycScalar.rational(1),
+                                               CycScalar.rational(0))))
+    ring = _classify_ring(coeffs)
+    return CharPoly(coeffs, ring, self_adjoint or ring in ("integer", "rational"))
+
+
+def _routes(monkeypatch) -> list:
+    """Record every matrix that the Z[zeta_4], Z[zeta_6] route keys."""
+    import digraphwalk.spectra as spectra
+
+    keyed = []
+    route = spectra._cyclotomic_charpoly
+
+    def recorded(m, coords):
+        out = route(m, coords)
+        keyed.append(out is not None)
+        return out
+
+    monkeypatch.setattr(spectra, "_cyclotomic_charpoly", recorded)
+    return keyed
+
+
+def test_cyclotomic_integer_route_equals_berkowitz(monkeypatch):
+    keyed = _routes(monkeypatch)
+    rng = random.Random(4711)
+    graphs = [g for n in (2, 3, 4) for g in enumerate_digraphs(n)]
+    graphs += [random_digraph(rng, n, density) for n in range(7, 13) for density in (0.3, 0.6)]
+    count = 0
+    for g in graphs:
+        for eta in (Angle(1, 3), Angle(1, 2), Angle(2, 3)):
+            got = charpoly_exact(build_H_eta(g, eta))
+            want = _berkowitz_reference(util.oracle_H_eta(g, eta).rows, True)
+            assert cospectral_key(got) == cospectral_key(want), (g, eta)
+            assert (got.ring, got.real_certified) == (want.ring, want.real_certified)
+            count += 1
+    # every H_eta with a one-way arc has non-rational entries and takes the route
+    one_way = sum(1 for g in graphs if any((v, u) not in g.arcs for u, v in g.arcs))
+    assert keyed == [True] * (3 * one_way) and count == 3 * len(graphs)
+
+
+def test_cyclotomic_integer_route_needs_a_self_adjoint_integer_stack(monkeypatch):
+    keyed = _routes(monkeypatch)
+    rng = random.Random(99)
+    sp = IndexSpace("vertex", tuple(range(5)))
+    for m in (4, 6):
+        coords = np.array([[[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+                           for _ in range(2)], dtype=np.int64)
+        for mat in (OpMatrix.from_coords(sp, sp, m, coords),       # not self-adjoint
+                    OpMatrix.from_coords(sp, sp, m, coords, 2)):   # not integral
+            herm = mat + mat.adjoint()                             # self-adjoint
+            for x in (mat, herm):
+                got = charpoly_exact(x)
+                want = _berkowitz_reference(x.data, x.is_self_adjoint())
+                assert cospectral_key(got) == cospectral_key(want)
+                assert (got.ring, got.real_certified) == (want.ring, want.real_certified)
+    # only the two self-adjoint stacks over den 1 take the route
+    assert keyed == [True, True]

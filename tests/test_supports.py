@@ -29,6 +29,7 @@ from digraphwalk.supports import (
     verify_square_support_formula,
 )
 
+import util
 from util import fig_digraph, random_digraph
 
 TABLED_ANGLES = (Angle(1, 3), Angle(1, 2), Angle(2, 3))
@@ -418,21 +419,24 @@ def test_one_grover_square_and_one_sign_product_per_angle(monkeypatch):
 
 # -- the coefficient-stack products ------------------------------------------------
 #
-# D_theta U_theta^n from the exact OpMatrix products is the oracle: each
-# power is one more product D_theta U_theta^(n-1) @ U_theta, which equals
-# build_D_theta(g, eta) @ build_U_theta(g, eta).power(n) exactly.
+# D_theta U_theta^n from the per-entry oracle of tests/util.py is the oracle:
+# D_theta, S_theta and C from their definitions, entry by entry, and each
+# power one more per-entry product D_theta U_theta^(n-1) U_theta.  It shares
+# nothing with the coordinate stacks or _exact_matmul, which OpMatrix and
+# sign_data_power both run through.
 
 STACK_ANGLES = (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3), Angle(1, 1),
                 Angle(1, 4), Angle(2, 5), Angle(3, 7), Angle(5, 6))
 
 
 def _oracle_signs(g, eta, powers):
-    cur, u = build_D_theta(g, eta), build_U_theta(g, eta)
+    cur = util.oracle_D_theta(g, eta)
+    u = util.oracle_matmul(util.oracle_S_theta(g, eta), util.oracle_C(g))
     out = {}
     for n in range(1, max(powers) + 1):
-        cur = cur @ u
+        cur = util.oracle_matmul(cur, u)
         if n in powers:
-            out[n] = np.array([[x.real_part_sign() for x in row] for row in cur.data])
+            out[n] = np.array([[x.real_part_sign() for x in row] for row in cur.rows])
     return out
 
 
@@ -488,7 +492,7 @@ def test_python_int_route_equals_int64_route(monkeypatch):
 
     # with bounds of 1 no step can be proven to fit int64 or float64
     monkeypatch.setattr(cyclotomic, "INT64_BOUND", 1)
-    monkeypatch.setattr(supports, "FLOAT_EXACT", 1)
+    monkeypatch.setattr(cyclotomic, "FLOAT_EXACT", 1)
     monkeypatch.setattr(supports, "_exact_matmul", recorded)
     got = _fresh_signs(cases)
     assert dtypes == {np.dtype(object)}
