@@ -607,11 +607,16 @@ INT64_BOUND = 2 ** 63
 FLOAT_ERR = 2.0 ** -52
 
 
+def _max_abs(arr: np.ndarray) -> int:
+    """max|arr| of an integer array as a Python int (np.abs would wrap -2**63)."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
 def exact_ints(arr: np.ndarray, growth: int) -> np.ndarray:
     """An integer array as int64 when growth * max|arr| < 2**63, otherwise as
     Python ints.  An integer map whose rows have absolute sums <= growth then
     keeps every partial sum below 2**63, in any order of summation."""
-    if growth * int(np.abs(arr).max(initial=0)) < INT64_BOUND:
+    if growth * _max_abs(arr) < INT64_BOUND:
         return arr.astype(np.int64, copy=False)
     return arr.astype(object, copy=False)
 
@@ -799,7 +804,7 @@ def complex_images(m: int, coords: np.ndarray, den: int) -> np.ndarray:
     where = np.flatnonzero(coords.any(axis=0))
     coords = coords[:, where]
     if m in (2, 4, 6):
-        if den < 2 ** 51 and int(np.abs(coords).max(initial=0)) < 2 ** 51:
+        if den < 2 ** 51 and _max_abs(coords) < 2 ** 51:
             c = coords.astype(np.float64)
             if m == 6:
                 out.real[where] = (2 * c[0] + c[1]) / (2 * den)

@@ -36,6 +36,7 @@ from .cyclotomic import (
     CycScalar,
     _conj_map,
     _exact_matmul,
+    _max_abs,
     complex_images,
     coordinate_map,
     exact_ints,
@@ -402,7 +403,7 @@ def degree_scaled(mat: np.ndarray, deg: np.ndarray, growth: int = 1) -> tuple[np
     otherwise."""
     lcm = math.lcm(*set(deg.tolist()))
     scale = np.array([lcm // d for d in deg.tolist()], dtype=object)
-    scale = exact_ints(scale, growth * int(np.abs(mat).max(initial=0)))
+    scale = exact_ints(scale, growth * _max_abs(mat))
     return scale[:, None] * mat, lcm
 
 

@@ -34,7 +34,7 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar
+from .cyclotomic import Angle, CycScalar, exact_ints
 from .cycles import classify_cycles
 from .digraph import Digraph, PreconditionError, arc_space, weakly_connected
 from .operators import OpMatrix, build_H_tilde, build_U_theta
@@ -343,7 +343,7 @@ def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[int] | None:
     residue.  An entry has modulus at most sum_k |c_k|, which gives
     Hadamard's bound.  None when n = 0 or the prime list is too short."""
     n = coords.shape[-1]
-    norm = int(np.abs(coords).sum(axis=0).max(initial=0))
+    norm = int(np.abs(exact_ints(coords, len(coords))).sum(axis=0).max(initial=0))
     count = _prime_count(n, norm * norm) if n else None
     if count is None:
         return None

@@ -221,3 +221,14 @@ def test_real_part_signs_equal_scalar_signs():
             stack = np.array(coords, dtype=object if scale > 2 ** 62 else np.int64)
             want = [CycScalar(m, tuple(c[j] for c in coords)).real_part_sign() for j in range(40)]
             assert real_part_signs(m, stack).tolist() == want, (m, scale)
+
+
+def test_exact_ints_counts_the_most_negative_int64():
+    # |-2^63| does not fit int64, although np.abs(-2^63) wraps to -2^63
+    import numpy as np
+
+    from digraphwalk.cyclotomic import exact_ints
+
+    arr = np.array([-2 ** 63, 1], dtype=np.int64)
+    assert exact_ints(arr, 1).dtype == object
+    assert exact_ints(arr[1:], 2 ** 62 - 1).dtype == np.int64
