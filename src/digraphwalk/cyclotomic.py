@@ -646,21 +646,26 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     partial sum is an integer below 2**53 whatever the summation order,
     otherwise a dtype=object array of Python ints.  The maxima are read in
     float64: exact below 2**53, and rounding never takes a larger one below
-    it.  Python-int operands stay Python ints.  The left factor goes
-    through BLAS a block of rows at a time, so the float copies beside the
-    int64 result are b's and one block's."""
+    it.  Python-int operands stay Python ints.  Beyond _MATMUL_BLOCK
+    entries the left factor goes through BLAS a block of rows at a time,
+    so the float copies beside the int64 result are b's and one block's."""
     if a.dtype != object and b.dtype != object:
         fb = b.astype(np.float64)
         bound = a.shape[1] * int(np.abs(fb).max(initial=0))
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
         step = max(1, _MATMUL_BLOCK // max(1, a.shape[1], b.shape[1]))
-        for lo in range(0, a.shape[0], step):
-            fa = a[lo:lo + step].astype(np.float64)
-            if bound * int(np.abs(fa).max(initial=0)) >= FLOAT_EXACT:
-                break
-            out[lo:lo + step] = fa @ fb
+        if step >= a.shape[0]:
+            fa = a.astype(np.float64)
+            if bound * int(np.abs(fa).max(initial=0)) < FLOAT_EXACT:
+                return (fa @ fb).astype(np.int64)
         else:
-            return out
+            out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+            for lo in range(0, a.shape[0], step):
+                fa = a[lo:lo + step].astype(np.float64)
+                if bound * int(np.abs(fa).max(initial=0)) >= FLOAT_EXACT:
+                    break
+                out[lo:lo + step] = fa @ fb
+            else:
+                return out
     return a.astype(object) @ b.astype(object)
 
 

@@ -105,13 +105,13 @@ def test_generic_scalar_path_agrees_with_integer_path():
     # below pi/2 the square support equals the underlying Grover one
     grover = power_support(g, Angle(0, 1), 2, "+")
     assert sup.data == grover.data
-    # and the fold agrees with the exact OpMatrix product at the tabulated angles
+    # and the fold agrees with the per-entry oracle's product at the tabulated angles
     for eta in TABLED_ANGLES:
         fast = power_support(g, eta, 2, "+").data
-        u = build_U_theta(g, eta)
-        mat = build_D_theta(g, eta) @ u @ u
+        u = util.oracle_matmul(util.oracle_S_theta(g, eta), util.oracle_C(g))
+        mat = util.oracle_matmul(util.oracle_matmul(util.oracle_D_theta(g, eta), u), u)
         slow = tuple(tuple(1 if x.real_part_sign() == 1 else 0 for x in row)
-                     for row in mat.data)
+                     for row in mat.rows)
         assert fast == slow
 
 
@@ -526,9 +526,10 @@ def test_entry_with_zero_real_part_and_nonzero_coordinates(monkeypatch):
     from digraphwalk import cyclotomic, supports
 
     g, eta = Digraph.of(3, [(0, 2), (2, 1)]), Angle(1, 4)
-    mat = build_D_theta(g, eta) @ build_U_theta(g, eta).power(3)
-    assert not mat.data[0][3].is_zero() and mat.data[0][3].real_part_sign() == 0
-    want = np.array([[x.real_part_sign() for x in row] for row in mat.data])
+    u = util.oracle_matmul(util.oracle_S_theta(g, eta), util.oracle_C(g))
+    mat = util.oracle_matmul(util.oracle_D_theta(g, eta), util.oracle_power(u, 3)).rows
+    assert not mat[0][3].is_zero() and mat[0][3].real_part_sign() == 0
+    want = np.array([[x.real_part_sign() for x in row] for row in mat])
     for err in (cyclotomic.FLOAT_ERR, float("inf")):
         monkeypatch.setattr(cyclotomic, "FLOAT_ERR", err)
         got = _fresh_signs([(g, eta, 3)])[0]
