@@ -636,7 +636,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 FLOAT_EXACT = 2 ** 53
 
 
-# float64 entries per row block of the left factor in _exact_matmul (512 kB)
+# float64 entries of a row block in _exact_matmul (512 kB), and the result
+# size beyond which it goes a block at a time
 _MATMUL_BLOCK = 1 << 16
 
 
@@ -646,27 +647,30 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     partial sum is an integer below 2**53 whatever the summation order,
     otherwise a dtype=object array of Python ints.  The maxima are read in
     float64: exact below 2**53, and rounding never takes a larger one below
-    it.  Python-int operands stay Python ints.  Beyond _MATMUL_BLOCK
-    entries the left factor goes through BLAS a block of rows at a time,
-    so the float copies beside the int64 result are b's and one block's."""
+    it.  Python-int operands stay Python ints.  A result of more than
+    _MATMUL_BLOCK entries is made a block of rows of a at a time, so the
+    float copies beside it are b's and one block's."""
     if a.dtype != object and b.dtype != object:
-        fb = b.astype(np.float64)
-        bound = a.shape[1] * int(np.abs(fb).max(initial=0))
-        step = max(1, _MATMUL_BLOCK // max(1, a.shape[1], b.shape[1]))
-        if step >= a.shape[0]:
-            fa = a.astype(np.float64)
-            if bound * int(np.abs(fa).max(initial=0)) < FLOAT_EXACT:
-                return (fa @ fb).astype(np.int64)
-        else:
-            out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-            for lo in range(0, a.shape[0], step):
-                fa = a[lo:lo + step].astype(np.float64)
-                if bound * int(np.abs(fa).max(initial=0)) >= FLOAT_EXACT:
-                    break
-                out[lo:lo + step] = fa @ fb
-            else:
-                return out
+        if a.shape[0] * b.shape[1] > _MATMUL_BLOCK:
+            return _blocked_matmul(a, b)
+        fa, fb = a.astype(np.float64), b.astype(np.float64)
+        if (a.shape[1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0))
+                < FLOAT_EXACT):
+            return (fa @ fb).astype(np.int64)
     return a.astype(object) @ b.astype(object)
+
+
+def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    fb = b.astype(np.float64)
+    bound = a.shape[1] * int(np.abs(fb).max(initial=0))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    step = max(1, _MATMUL_BLOCK // max(1, a.shape[1], b.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        fa = a[lo:lo + step].astype(np.float64)
+        if bound * int(np.abs(fa).max(initial=0)) >= FLOAT_EXACT:
+            return a.astype(object) @ b.astype(object)
+        out[lo:lo + step] = fa @ fb
+    return out
 
 
 @lru_cache(maxsize=32)
