@@ -393,8 +393,8 @@ def _check_against_oracle(g, eta):
     uu = u @ u.adjoint()
     ouu = util.oracle_matmul(ou, ou_adj)
     _same(uu, ouu)
-    du = dt @ u
-    odu = util.oracle_matmul(odt, ou)
+    du, odu = dt @ u, util.oracle_matmul(odt, ou)
+    _same(du, odu)
     ou0 = util.oracle_matmul(util.oracle_S_theta(g, Angle(0, 1)), oc)
     for a, b, oa, ob in ((ht, build_H_tilde(g, eta), oht, util.oracle_H_eta(g, eta, True)),
                          (u, u.adjoint(), ou, ou_adj), (du, build_U_grover(g), odu, ou0),
@@ -402,7 +402,6 @@ def _check_against_oracle(g, eta):
         assert (a == b) == util.oracle_equal(oa, ob)
     for a, oa in ((uu, ouu), (kk, util.oracle_matmul(ok, ok_adj)), (u, ou), (c, oc)):
         assert a.is_identity() == util.oracle_is_identity(oa)
-    _same(du, odu)
     for a, oa in ((u, ou), (c, oc), (ht, oht), (du, odu)):
         assert a.trace() == util.oracle_trace(oa)
     _same(u + dt, util.oracle_combined(ou, odt, 1))
