@@ -152,8 +152,6 @@ def _ring(m: int) -> _Ring:
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den == 1:
-        return tuple(num), 1
     if den < 0:
         num = [-c for c in num]
         den = -den
@@ -269,8 +267,6 @@ class CycScalar:
         if other is NotImplemented:
             return NotImplemented
         a, b = CycScalar._match(self, other)
-        if a.den == b.den:
-            return CycScalar(a.m, tuple(x + y for x, y in zip(a.num, b.num)), a.den)
         d = a.den * b.den // gcd(a.den, b.den)
         fa, fb = d // a.den, d // b.den
         num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
@@ -636,41 +632,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 FLOAT_EXACT = 2 ** 53
 
 
-# float64 entries of a row block in _exact_matmul (512 kB), and the result
-# size beyond which it goes a block at a time
-_MATMUL_BLOCK = 1 << 16
-
-
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integer product a @ b of 2-d arrays, exact at any size: int64
-    from float64 BLAS when inner_dim * max|a| * max|b| < 2**53, where every
-    partial sum is an integer below 2**53 whatever the summation order,
-    otherwise a dtype=object array of Python ints.  The maxima are read in
-    float64: exact below 2**53, and rounding never takes a larger one below
-    it.  Python-int operands stay Python ints.  A result of more than
-    _MATMUL_BLOCK entries is made a block of rows of a at a time, so the
-    float copies beside it are b's and one block's."""
+    """The integer product a @ b, exact at any size: int64 from float64 BLAS
+    when inner_dim * max|a| * max|b| < 2**53, where every partial sum is an
+    integer below 2**53 whatever the summation order, otherwise a
+    dtype=object array of Python ints.  The maxima are read in float64:
+    exact below 2**53, and rounding never takes a larger one below it.
+    Python-int operands stay Python ints."""
     if a.dtype != object and b.dtype != object:
-        if a.shape[0] * b.shape[1] > _MATMUL_BLOCK:
-            return _blocked_matmul(a, b)
         fa, fb = a.astype(np.float64), b.astype(np.float64)
-        if (a.shape[1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0))
+        if (a.shape[-1] * int(np.abs(fa).max(initial=0)) * int(np.abs(fb).max(initial=0))
                 < FLOAT_EXACT):
-            return (fa @ fb).astype(np.int64)
+            prod = fa @ fb
+            del fa, fb   # at most one float copy beside the int64 result
+            return prod.astype(np.int64)
     return a.astype(object) @ b.astype(object)
-
-
-def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    fb = b.astype(np.float64)
-    bound = a.shape[1] * int(np.abs(fb).max(initial=0))
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, _MATMUL_BLOCK // max(1, a.shape[1], b.shape[1]))
-    for lo in range(0, a.shape[0], step):
-        fa = a[lo:lo + step].astype(np.float64)
-        if bound * int(np.abs(fa).max(initial=0)) >= FLOAT_EXACT:
-            return a.astype(object) @ b.astype(object)
-        out[lo:lo + step] = fa @ fb
-    return out
 
 
 @lru_cache(maxsize=32)

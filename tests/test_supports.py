@@ -303,14 +303,11 @@ def test_exact_matmul_routes_equal_python_int_product():
 
     rng = np.random.default_rng(4242)
     # (rows, inner, cols, entry bound, route): the float64 route while
-    # inner * max|a| * max|b| < 2**53, Python ints beyond it; the last two
-    # results exceed _MATMUL_BLOCK entries and go a block of rows at a time
+    # inner * max|a| * max|b| < 2**53, Python ints beyond it
     for rows, inner, cols, high, route in ((9, 7, 5, 50, np.int64),
                                            (30, 1024, 20, 2 ** 21, np.int64),
                                            (12, 1024, 10, 2 ** 22, object),
-                                           (6, 8, 3, 2 ** 40, object),
-                                           (300, 8, 300, 2 ** 24, np.int64),
-                                           (300, 8, 300, 2 ** 26, object)):
+                                           (6, 8, 3, 2 ** 40, object)):
         a = rng.integers(-high, high, size=(rows, inner), endpoint=True)
         b = rng.integers(-high, high, size=(inner, cols), endpoint=True)
         a[0, 0] = high   # reach the bound
