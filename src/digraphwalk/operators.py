@@ -120,9 +120,10 @@ class OpMatrix:
     def from_coords(cls, row_space, col_space, m: int, coords, den: int = 1,
                     row_sqrt=None, col_sqrt=None) -> "OpMatrix":
         """The matrix sum_k coords[k] zeta_m^k / den of an integer stack
-        (phi(m), rows, cols) and a positive den."""
+        (phi(m), rows, cols) and a positive den.  It keeps a read-only copy
+        of the stack, so the caller's array stays its own."""
         self = object.__new__(cls)
-        self._set(row_space, col_space, m, coords, den, row_sqrt, col_sqrt)
+        self._set(row_space, col_space, m, np.array(coords, copy=True), den, row_sqrt, col_sqrt)
         self._data = None
         return self
 
@@ -222,8 +223,8 @@ class OpMatrix:
         a, b = self._lifted(m), other._lifted(m)
         den = self.den * other.den
         if mid is not None:
-            lcm = math.lcm(*mid)
-            a = exact_ints(a * np.array([lcm // d for d in mid], dtype=object), 1)
+            # diag(1/sqrt(d))^2 on the inner index: b's rows scaled by 1/d
+            b, lcm = degree_scaled(b, mid)
             den *= lcm
         phi, rows, inner = a.shape
         cols = b.shape[2]
@@ -298,12 +299,21 @@ class OpMatrix:
             raise ValueError("trace of a non-square matrix")
         if self.row_sqrt != self.col_sqrt:
             raise ValueError("trace of an asymmetrically annotated matrix")
-        diag = np.diagonal(self.coords, axis1=1, axis2=2).astype(object)
-        lcm = 1
-        if self.row_sqrt is not None:
-            lcm = math.lcm(1, *self.row_sqrt)
-            diag = diag * np.array([lcm // d for d in self.row_sqrt], dtype=object)
-        return CycScalar(self.m, tuple(int(x) for x in diag.sum(axis=1)), self.den * lcm)
+        similar = self.similar()
+        diag = np.diagonal(similar.coords, axis1=1, axis2=2).astype(object)
+        return CycScalar(self.m, tuple(int(x) for x in diag.sum(axis=1)), similar.den)
+
+    def similar(self) -> "OpMatrix":
+        """The unannotated matrix diag(1/d) core, similar to a matrix
+        annotated with d on both sides (itself when unannotated): the same
+        trace and characteristic polynomial, inside the field."""
+        if self.row_sqrt != self.col_sqrt:
+            raise ValueError("similar matrix of an asymmetrically annotated matrix")
+        if self.row_sqrt is None:
+            return self
+        core, lcm = degree_scaled(self.coords, self.row_sqrt)
+        return OpMatrix.from_coords(self.row_space, self.col_space, self.m, core,
+                                    self.den * lcm)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -396,13 +406,15 @@ class OpMatrix:
 # arc set, for H_eta); none forms an OpMatrix product.
 
 
-def degree_scaled(mat: np.ndarray, deg: np.ndarray, growth: int = 1) -> tuple[np.ndarray, int]:
+def degree_scaled(mat: np.ndarray, deg, growth: int = 1) -> tuple[np.ndarray, int]:
     """(diag(L / deg) mat, L) with L = lcm(deg): the integer matrix over one
-    denominator L that equals diag(1 / deg) mat.  It is int64 when growth
+    denominator L that equals diag(1 / deg) mat, scaling the axis -2 of mat
+    (rows, or the rows of every plane of a stack).  It is int64 when growth
     times its largest entry stays below 2**63 (``exact_ints``), Python ints
     otherwise."""
-    lcm = math.lcm(*set(deg.tolist()))
-    scale = np.array([lcm // d for d in deg.tolist()], dtype=object)
+    deg = np.asarray(deg).tolist()
+    lcm = math.lcm(*set(deg))
+    scale = np.array([lcm // d for d in deg], dtype=object)
     scale = exact_ints(scale, growth * _max_abs(mat))
     return scale[:, None] * mat, lcm
 

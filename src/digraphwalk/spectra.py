@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -377,12 +376,7 @@ def charpoly_exact(m: OpMatrix) -> CharPoly:
     self_adjoint = m.is_self_adjoint()
     if m.row_sqrt != m.col_sqrt:
         raise PreconditionError("charpoly of an asymmetrically annotated matrix")
-    similar = m
-    if m.row_sqrt is not None:
-        scale = lcm(*m.row_sqrt)
-        row_scale = np.array([scale // d for d in m.row_sqrt], dtype=object)
-        similar = OpMatrix.from_coords(m.row_space, m.col_space, m.m,
-                                       m.coords * row_scale[:, None], m.den * scale)
+    similar = m.similar()
     desc = None
     if similar.den == 1 and not similar.coords[1:].any():
         desc = charpoly_int(similar.coords[0].tolist())
@@ -391,11 +385,7 @@ def charpoly_exact(m: OpMatrix) -> CharPoly:
     if desc is not None:
         coeffs = tuple(CycScalar.rational(c) for c in reversed(desc))
     else:
-        if m.row_sqrt is not None:
-            d = m.row_sqrt
-            rows = [[m.data[i][j] * Fraction(1, d[i]) for j in range(n)] for i in range(n)]
-        else:
-            rows = [list(r) for r in m.data]
+        rows = [list(r) for r in similar.data]
         zero = CycScalar.rational(0)
         one = CycScalar.rational(1)
         coeffs = tuple(reversed(berkowitz_charpoly(rows, one, zero)))

@@ -315,6 +315,15 @@ def test_matrix_power_and_trace():
     assert c.trace() == CycScalar.rational(-4)  # 12 arcs with diagonal 2/3 - 1
 
 
+def test_from_coords_keeps_its_own_stack():
+    vs = vertex_space(complete_digraph(2))
+    coords = np.array([[[1, 2], [3, 4]]], dtype=np.int64)   # int64 and reduced: no copy needed
+    m = OpMatrix.from_coords(vs, vs, 2, coords)
+    assert coords.flags.writeable and not m.coords.flags.writeable
+    coords[0, 0, 0] = 7
+    assert m.entry(0, 0) == CycScalar.rational(1)
+
+
 def _entrywise_image(m: OpMatrix) -> np.ndarray:
     # the per-entry route, scaled like to_complex_array
     out = np.array([[x.to_complex() for x in row] for row in m.data], dtype=complex)
