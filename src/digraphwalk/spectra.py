@@ -13,11 +13,23 @@ Every int64 sum it forms has at most n + 1 <= 65 products of residues below
 2^28, so it stays below 2^63 for n <= 64.  ``charpoly_batch`` reduces an
 integer stack into it; ``hermitian_charpoly_batch`` feeds it H_eta at
 angles of order 2, 4 and 6 from a 0/1 adjacency stack, each entry read from
-a four-entry residue table per prime, and ``charpoly_exact`` feeds it one
-self-adjoint operator whose coordinate stack is integral over Z[zeta_4] or
-Z[zeta_6].  Each prime is 1 (mod 12), so zeta_4 and zeta_6 map to roots of
-their cyclotomic polynomials mod p; a Hermitian charpoly over those rings
-has integer coefficients, which the residues then determine.
+a four-entry residue table per prime.
+
+``charpoly_exact`` feeds it one operator over any Z[zeta_m]: the integer
+core B of the similar matrix B / L, whose coefficient k is B's over L^k.
+A core with integer entries takes ``charpoly_int``.  Otherwise each prime
+is 1 (mod m) (CHARPOLY_PRIMES, 1 (mod 12), when m divides 12), so Phi_m
+has phi(m) distinct roots r_j mod p, one ring homomorphism per embedding
+of the field.  B is evaluated at all of them, and the residues of each
+coefficient's phi(m) power-basis coordinates follow by the inverse
+Vandermonde (r_j^l) mod p, then the coordinates by symmetric CRT.  The
+prime count is proved: Hadamard's bound holds under every embedding with
+a = max_entry sum_k |c_k|, and each coordinate is at most F_m times it,
+F_m = phi * max_l sum_k |G^-1_lk| from the trace form G_kl =
+Tr(zeta^(k + l)), computed in Fractions.  Evaluation and interpolation sum
+at most 64 products below 2^56 per int64 reduction.  Only where the prime
+list runs short does the charpoly come from Berkowitz over ``CycScalar``s.
+
 The transfer-matrix spectrum is assembled from the discriminant
 spectrum through phi(z) = (z + 1/z)/2 together with the exact +-1
 multiplicities from the closed-path classification; a dense complex
@@ -28,12 +40,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar, exact_ints
+from .cyclotomic import Angle, CycScalar, cyclotomic_polynomial, exact_ints
 from .cycles import classify_cycles
 from .digraph import Digraph, PreconditionError, arc_space, weakly_connected
 from .operators import OpMatrix, build_H_tilde, build_U_theta
@@ -81,28 +94,101 @@ def berkowitz_charpoly(rows, one, zero):
 
 
 # Primes p < 2^28 with p = 1 (mod 12), so that Z/p holds the 4th and the 6th
-# roots of unity.  Residues lie in [0, p), so every product is below 2^56;
-# every sum the kernel forms has at most n + 1 <= 65 such terms, which is
-# below 65 * 2^56 < 2^63: int64 cannot overflow for n <= MAX_CHARPOLY_DIM.
+# roots of unity: the prime source of Z and of every Z[zeta_m] with m | 12.
+# Residues lie in [0, p), so every product is below 2^56; every sum the
+# kernel forms has at most n + 1 <= 65 such terms, which is below
+# 65 * 2^56 < 2^63: int64 cannot overflow for n <= MAX_CHARPOLY_DIM.
 CHARPOLY_PRIMES = (268435273, 268435129, 268435033, 268435009, 268434997,
                    268434961, 268434949, 268434937, 268434841, 268434781,
                    268434721, 268434697)
 
 
+def _prime_factors(k: int) -> list[int]:
+    """The distinct prime factors of k >= 1, ascending."""
+    out, q = [], 2
+    while q * q <= k:
+        if k % q == 0:
+            out.append(q)
+            while k % q == 0:
+                k //= q
+        q += 1
+    return out + ([k] if k > 1 else [])
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 @lru_cache(maxsize=None)
-def _prime_count(n: int, norm2: int) -> int | None:
-    """Fewest leading primes whose product exceeds twice Hadamard's bound on
-    every coefficient of an n x n charpoly with entries of squared modulus at
-    most norm2; None when the whole list is too short.
+def _field_primes(m: int) -> tuple[int, ...]:
+    """The prime source of Z[zeta_m]: primes p < 2^28 with p = 1 (mod m),
+    as many as CHARPOLY_PRIMES.  That list itself when m divides 12;
+    otherwise the largest such primes, descending, made on first use."""
+    if 12 % m == 0:
+        return CHARPOLY_PRIMES
+    out = []
+    p = (2 ** 28 - 2) // m * m + 1
+    while len(out) < len(CHARPOLY_PRIMES) and p > m:
+        if _is_prime(p):
+            out.append(p)
+        p -= m
+    return tuple(out)
+
+
+def _mobius(k: int) -> int:
+    out = 1
+    for q in _prime_factors(k):
+        k //= q
+        if k % q == 0:
+            return 0
+        out = -out
+    return out
+
+
+@lru_cache(maxsize=None)
+def _coordinate_factor(m: int) -> Fraction:
+    """F_m: every integer element c = sum_l a_l zeta_m^l, l < phi, has
+    |a_l| <= F_m * max_j |sigma_j(c)| over the phi embeddings sigma_j.
+
+    With G_kl = Tr(zeta^(k + l)) the trace form on the power basis,
+    Tr(c zeta^k) = (G a)_k, and |Tr(c zeta^k)| <= phi * max_j |sigma_j(c)|;
+    so a = G^-1 (G a) gives F_m = phi * max_l sum_k |G^-1_lk|.  Tr(zeta^t)
+    is the Ramanujan sum, sum of d * mu(m / d) over d dividing gcd(t, m),
+    and G is inverted in Fractions."""
+    phi = len(cyclotomic_polynomial(m)) - 1
+    trace = [sum(d * _mobius(m // d) for d in range(1, m + 1) if gcd(t, m) % d == 0)
+             for t in range(2 * phi - 1)]
+    rows = [[Fraction(trace[k + l]) for l in range(phi)] + [Fraction(int(k == l)) for l in range(phi)]
+            for k in range(phi)]
+    for col in range(phi):
+        pivot = next(r for r in range(col, phi) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [x / head for x in rows[col]]
+        for r in range(phi):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return phi * max(sum(abs(x) for x in row[phi:]) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _prime_count(n: int, norm2: int, m: int = 1) -> int | None:
+    """Fewest leading primes of _field_primes(m) whose product exceeds twice
+    F_m times Hadamard's bound on every coefficient of an n x n charpoly with
+    entries of squared modulus at most norm2; None when the source is too
+    short.  F_1 = 1, which is the integer case.
 
     c_k is a sum of C(n, k) principal k x k minors, each at most
-    (sqrt(k) * a)^k in modulus, so |c_k| <= C(n, k) * (k * norm2)^(k/2); the
-    comparison runs on squares to stay in integers."""
+    (sqrt(k) * a)^k in modulus, so |c_k| <= C(n, k) * (k * norm2)^(k/2)
+    (under every embedding, for cyclotomic entries); the comparison runs on
+    squares to stay in integers."""
     need = max(comb(n, k) ** 2 * (k * norm2) ** k for k in range(n + 1))
+    f = _coordinate_factor(m)
     modulus = 1
-    for count, p in enumerate(CHARPOLY_PRIMES, start=1):
+    for count, p in enumerate(_field_primes(m), start=1):
         modulus *= p
-        if modulus * modulus > 4 * need:
+        if (modulus * f.denominator) ** 2 > 4 * f.numerator ** 2 * need:
             return count
     return None
 
@@ -112,17 +198,49 @@ _KERNEL_ENTRIES = 1 << 18
 
 
 @lru_cache(maxsize=None)
-def _roots_of_unity(m: int, count: int) -> np.ndarray:
-    """A root of the m-th cyclotomic polynomial modulo each of the first
-    ``count`` primes (m divides 12, so p = 1 (mod m) has one)."""
-    roots = []
-    for p in CHARPOLY_PRIMES[:count]:
-        for x in range(2, p):
-            r = pow(x, (p - 1) // m, p)
-            if all(pow(r, m // q, p) != 1 for q in (2, 3) if m % q == 0):
-                roots.append(r)
-                break
-    return np.array(roots, dtype=np.int64)
+def _roots_of_unity(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Vandermonde matrices (r_j^l) of the roots of unity of order m
+    modulo each of the first ``count`` primes of _field_primes(m), and their
+    inverses mod p, as two (count, phi, phi) int64 arrays.
+
+    r has order exactly m and r_j = r^(k_j), k_j the j-th integer in [1, m]
+    prime to m (k_0 = 1, so row 0 holds the powers of r): the phi distinct
+    roots of Phi_m mod p, and zeta_m -> r_j is one ring homomorphism
+    Z[zeta_m] -> Z/p per embedding.  As the nodes are every root of Phi_m,
+    column j of the inverse holds the coefficients of the Lagrange basis
+    polynomial Phi_m(t) / ((t - r_j) Phi_m'(r_j))."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    ks = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    factors = _prime_factors(m)
+    vander, inverse = [], []
+    for p in _field_primes(m)[:count]:
+        r = next(r for r in (pow(x, (p - 1) // m, p) for x in range(2, p))
+                 if all(pow(r, m // q, p) != 1 for q in factors))
+        nodes = [pow(r, k, p) for k in ks]
+        vander.append([[pow(x, l, p) for l in range(phi)] for x in nodes])
+        cols = []
+        for x in nodes:
+            # Phi_m(t) / (t - x) by synthetic division; its value at x is Phi_m'(x)
+            q = [0] * phi
+            q[-1] = poly[-1]
+            for i in range(phi - 1, 0, -1):
+                q[i - 1] = (poly[i] + x * q[i]) % p
+            scale = pow(sum(c * pow(x, i, p) for i, c in enumerate(q)) % p, -1, p)
+            cols.append([c * scale % p for c in q])
+        inverse.append([list(row) for row in zip(*cols)])
+    return np.array(vander, dtype=np.int64), np.array(inverse, dtype=np.int64)
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(P, i, k) @ (P, k, j) residues, reduced mod the P primes.  The inner
+    axis runs in blocks of 64, so each int64 sum has at most 64 products
+    below 2^56 and one residue below 2^28: below 2^63 for any k."""
+    pk = primes[:, None, None]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+    for lo in range(0, a.shape[-1], 64):
+        out = (out + a[..., lo:lo + 64] @ b[..., lo:lo + 64, :]) % pk
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -180,18 +298,22 @@ def _symmetric_crt(res: np.ndarray, primes) -> list[list[int]]:
     return np.where(value > modulus // 2, value - modulus, value).tolist()
 
 
-def _charpoly_mod(stack: np.ndarray, count: int, residues) -> list[list[int]]:
-    """Charpolys of the B matrices of a (B, ..., n, n) stack, n >= 1, modulo
-    the first ``count`` primes, rebuilt by symmetric CRT; ``residues(chunk,
+def _charpoly_residues(stack, primes: np.ndarray, residues):
+    """The (P, b, n + 1) charpoly residues of the B matrices of a (B, ..., n, n)
+    stack, n >= 1, modulo the P primes, chunk by chunk; ``residues(chunk,
     pk)`` gives the (P, b, n, n) residues of at most _KERNEL_ENTRIES of them
     at a time."""
-    primes = np.array(CHARPOLY_PRIMES[:count], dtype=np.int64)
-    out: list[list[int]] = []
-    step = max(1, _KERNEL_ENTRIES // (count * stack.shape[-1] ** 2))
+    step = max(1, _KERNEL_ENTRIES // (len(primes) * stack.shape[-1] ** 2))
     for lo in range(0, len(stack), step):
-        res = residues(stack[lo:lo + step], primes[:, None, None, None])
-        out.extend(_symmetric_crt(_berkowitz_mod(res, primes), CHARPOLY_PRIMES[:count]))
-    return out
+        yield _berkowitz_mod(residues(stack[lo:lo + step], primes[:, None, None, None]), primes)
+
+
+def _charpoly_mod(stack: np.ndarray, count: int, residues) -> list[list[int]]:
+    """Charpolys of the matrices of a stack (``_charpoly_residues``) modulo
+    the first ``count`` primes, rebuilt by symmetric CRT."""
+    primes = CHARPOLY_PRIMES[:count]
+    return [row for res in _charpoly_residues(stack, np.array(primes, dtype=np.int64), residues)
+            for row in _symmetric_crt(res, primes)]
 
 
 def charpoly_batch(stack) -> list[list[int]]:
@@ -234,9 +356,9 @@ def _residue_table(table: tuple[CycScalar, ...], count: int) -> np.ndarray:
     zero, fwd, bwd, digon = table
     if bwd != fwd.conj() or not (zero.imag_is_zero() and digon.imag_is_zero()):
         raise ArithmeticError("code table is not Hermitian: its charpolys need not be real")
-    roots = _roots_of_unity(fwd.m, count).tolist()
-    return np.array([[sum(c * pow(r, j, p) for j, c in enumerate(x.num)) % p for x in table]
-                     for p, r in zip(CHARPOLY_PRIMES, roots)], dtype=np.int64)
+    powers = _roots_of_unity(fwd.m, count)[0][:, 0].tolist()
+    return np.array([[sum(c * rl for c, rl in zip(x.num, row)) % p for x in table]
+                     for p, row in zip(CHARPOLY_PRIMES, powers)], dtype=np.int64)
 
 
 def hermitian_charpoly_batch(adj, eta: Angle) -> list[list[int]]:
@@ -332,42 +454,51 @@ def _classify_ring(coeffs) -> str:
     return "cyclotomic"
 
 
-def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[int] | None:
-    """Charpoly of the matrix of a (phi(m), n, n) integer coordinate stack,
-    m = 4 or 6, whose charpoly is real (similar to a self-adjoint matrix):
-    its coefficients lie in Z[zeta_m] and are real, so they are integers.
+def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[tuple[int, ...]] | None:
+    """Charpoly of the matrix of a (phi(m), n, n) integer coordinate stack
+    over Z[zeta_m], highest degree first, each coefficient as its phi(m)
+    integer coordinates in the power basis.
 
-    Each entry goes to sum_k c_k r^k mod p, r a root of the m-th cyclotomic
-    polynomial mod p: a ring homomorphism, so every coefficient keeps its
-    residue.  An entry has modulus at most sum_k |c_k|, which gives
-    Hadamard's bound.  None when n = 0 or the prime list is too short."""
-    n = coords.shape[-1]
-    norm = int(np.abs(exact_ints(coords, len(coords))).sum(axis=0).max(initial=0))
-    count = _prime_count(n, norm * norm) if n else None
+    For each prime p of _field_primes(m) the stack is evaluated at all phi
+    roots r_j of Phi_m mod p, one ring homomorphism per embedding sigma_j,
+    and one _berkowitz_mod call takes the (P, phi, n, n) residues.  The
+    residues of coefficient c = sum_l a_l zeta^l at the roots are V a with
+    V = (r_j^l), so the inverse Vandermonde (``_roots_of_unity``) gives each
+    a_l mod p, and symmetric CRT the integer a_l.  That is exact by a proved
+    bound: an entry has modulus at most sum_k |c_k| under every embedding,
+    so Hadamard's bound holds for every sigma_j(c), and |a_l| <= F_m times
+    it (``_coordinate_factor``).  Evaluation and interpolation go through
+    _dot_mod, which keeps every int64 sum below 2^63.  None when n = 0,
+    n > MAX_CHARPOLY_DIM or the prime source is too short."""
+    phi, n = coords.shape[0], coords.shape[-1]
+    norm = int(np.abs(exact_ints(coords, phi)).sum(axis=0).max(initial=0))
+    count = _prime_count(n, norm * norm, m) if 0 < n <= MAX_CHARPOLY_DIM else None
     if count is None:
         return None
-    rk = np.array([[pow(r, k, p) for k in range(len(coords))]
-                   for r, p in zip(_roots_of_unity(m, count).tolist(), CHARPOLY_PRIMES)],
-                  dtype=np.int64)
+    primes = _field_primes(m)[:count]
+    pk = np.array(primes, dtype=np.int64)
+    vander, inverse = _roots_of_unity(m, count)
+    flat = (coords.reshape(1, phi, n * n) % pk[:, None, None]).astype(np.int64)
 
-    def residues(chunk, pk):
-        # residues below 2^28: each product < 2^56, a sum of phi <= 2 below 2^63
-        terms = [(chunk[:, k] % pk).astype(np.int64) * rk[:, k, None, None, None]
-                 for k in range(len(coords))]
-        return sum(terms) % pk
+    def residues(roots, _pk):
+        return _dot_mod(vander[:, roots], flat, pk).reshape(count, len(roots), n, n)
 
-    return _charpoly_mod(coords[None], count, residues)[0]
+    at_roots = np.concatenate(list(_charpoly_residues(np.arange(phi), pk, residues)), axis=1)
+    return list(zip(*_symmetric_crt(_dot_mod(inverse, at_roots, pk), primes)))
 
 
 def charpoly_exact(m: OpMatrix) -> CharPoly:
     """Exact characteristic polynomial of a square operator matrix.
 
     Square-root-annotated matrices diag(1/sqrt(d)) A diag(1/sqrt(d)) are
-    handled through the exact similar matrix diag(1/d) A.  When that matrix
-    has integer entries its charpoly is ``charpoly_int``'s; when it has
-    coordinates in Z[zeta_4] or Z[zeta_6] and the input is self-adjoint, it
-    is ``_cyclotomic_charpoly``'s; everything else runs berkowitz_charpoly
-    over the ``CycScalar`` entries."""
+    handled through the exact similar matrix diag(1/d) A.  That matrix is
+    B / L, B its integer coordinate stack and L its denominator, so
+    coefficient k of lambda^(n - k) is B's divided by L^k.  B's charpoly is
+    ``charpoly_int``'s when B has integer entries and
+    ``_cyclotomic_charpoly``'s otherwise; only where that route's prime
+    source is too short do the coefficients come from berkowitz_charpoly
+    over the ``CycScalar`` entries.  A self-adjoint input must give real
+    coefficients, checked exactly."""
     if not m.is_square():
         raise PreconditionError("characteristic polynomial of a non-square matrix")
     n = m.row_space.dim
@@ -377,13 +508,17 @@ def charpoly_exact(m: OpMatrix) -> CharPoly:
     if m.row_sqrt != m.col_sqrt:
         raise PreconditionError("charpoly of an asymmetrically annotated matrix")
     similar = m.similar()
+    core, den = similar.coords, similar.den
     desc = None
-    if similar.den == 1 and not similar.coords[1:].any():
-        desc = charpoly_int(similar.coords[0].tolist())
-    elif similar.den == 1 and self_adjoint and m.m in (4, 6):
-        desc = _cyclotomic_charpoly(m.m, similar.coords)
+    if not core[1:].any():
+        desc = [CycScalar.rational(Fraction(c, den ** k))
+                for k, c in enumerate(charpoly_int(core[0].tolist()))]
+    else:
+        nums = _cyclotomic_charpoly(similar.m, core)
+        if nums is not None:
+            desc = [CycScalar(similar.m, num, den ** k) for k, num in enumerate(nums)]
     if desc is not None:
-        coeffs = tuple(CycScalar.rational(c) for c in reversed(desc))
+        coeffs = tuple(reversed(desc))
     else:
         rows = [list(r) for r in similar.data]
         zero = CycScalar.rational(0)

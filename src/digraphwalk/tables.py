@@ -80,7 +80,8 @@ def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[byt
     """Canonical charpoly keys of functor(g), A or H_eta, for a (B, n, n)
     stack of 0/1 adjacency matrices.  Every integer and quadratic-field
     charpoly comes from one kernel call: charpoly_batch for A,
-    hermitian_charpoly_batch for H_eta at angles of order 2, 4 and 6."""
+    hermitian_charpoly_batch for H_eta at angles of order 2, 4 and 6.  At
+    other angles each H_eta takes charpoly_exact's modular route."""
     if functor == "A":
         return [_int_key(c) for c in charpoly_batch(adj)]
     if eta.order in (2, 4, 6):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -370,29 +371,60 @@ def test_hermitian_kernel_refuses_non_binary_stacks():
         hermitian_charpoly_batch(adj, Angle(1, 3))
 
 
-# -- the integer route of charpoly_exact over Z[zeta_4] and Z[zeta_6] ----------------
+# -- the modular route of charpoly_exact over every Z[zeta_m] -----------------------
 
 
 def _berkowitz_reference(rows, self_adjoint: bool):
     """charpoly_exact's result from berkowitz_charpoly over CycScalar rows."""
     from digraphwalk.spectra import CharPoly, _classify_ring, berkowitz_charpoly
 
-    coeffs = tuple(reversed(berkowitz_charpoly([list(r) for r in rows], CycScalar.rational(1),
-                                               CycScalar.rational(0))))
+    m = math.lcm(2, *(x.m for row in rows for x in row))
+    coeffs = tuple(reversed(berkowitz_charpoly([list(r) for r in rows], CycScalar.rational(1, m),
+                                               CycScalar.rational(0, m))))
     ring = _classify_ring(coeffs)
     return CharPoly(coeffs, ring, self_adjoint or ring in ("integer", "rational"))
 
 
+def _oracle_similar_rows(g, eta):
+    """Rows of diag(1/d) H_eta on the positive-degree vertices, the matrix
+    similar to H~, from the per-entry oracle."""
+    from fractions import Fraction
+
+    h = util.oracle_H_eta(g, eta, positive_degree_only=True)
+    return [[x * Fraction(1, d) for x in row] for row, d in zip(h.rows, h.row_sqrt)]
+
+
+def _assert_same(got, want, *context):
+    assert cospectral_key(got) == cospectral_key(want), context
+    assert (got.ring, got.real_certified) == (want.ring, want.real_certified), context
+    assert got.to_json() == want.to_json(), context
+
+
 def _routes(monkeypatch) -> list:
-    """Record every matrix that the Z[zeta_4], Z[zeta_6] route keys."""
+    """Record every matrix that the cyclotomic route keys, and check each
+    coefficient coordinate it returns against the bound that sized its
+    prime count: |a_l| <= F_m * Hadamard's bound."""
+    import functools
+
     import digraphwalk.spectra as spectra
 
     keyed = []
     route = spectra._cyclotomic_charpoly
 
+    @functools.lru_cache(maxsize=None)
+    def squared_bound(m, n, norm2):
+        f = spectra._coordinate_factor(m)
+        need = max(math.comb(n, k) ** 2 * (k * norm2) ** k for k in range(n + 1))
+        return f.numerator ** 2 * need, f.denominator ** 2
+
     def recorded(m, coords):
         out = route(m, coords)
         keyed.append(out is not None)
+        if out is not None:
+            norm = int(np.abs(coords).sum(axis=0).max())
+            bound, scale = squared_bound(m, coords.shape[-1], norm * norm)
+            top = max(abs(a) for num in out for a in num)
+            assert top * top * scale <= bound, (m, coords.shape)
         return out
 
     monkeypatch.setattr(spectra, "_cyclotomic_charpoly", recorded)
@@ -409,15 +441,19 @@ def test_cyclotomic_integer_route_equals_berkowitz(monkeypatch):
         for eta in (Angle(1, 3), Angle(1, 2), Angle(2, 3)):
             got = charpoly_exact(build_H_eta(g, eta))
             want = _berkowitz_reference(util.oracle_H_eta(g, eta).rows, True)
-            assert cospectral_key(got) == cospectral_key(want), (g, eta)
-            assert (got.ring, got.real_certified) == (want.ring, want.real_certified)
+            _assert_same(got, want, g, eta)
             count += 1
-    # every H_eta with a one-way arc has non-rational entries and takes the route
-    one_way = sum(1 for g in graphs if any((v, u) not in g.arcs for u, v in g.arcs))
-    assert keyed == [True] * (3 * one_way) and count == 3 * len(graphs)
+            if g.arcs and g.n <= 9:
+                # H~ is similar to diag(1/d) H_eta, den = lcm(d) > 1 on most digraphs
+                got = charpoly_exact(build_H_tilde(g, eta))
+                _assert_same(got, _berkowitz_reference(_oracle_similar_rows(g, eta), True), g, eta)
+    # every H_eta and H~ with a one-way arc has non-rational entries and takes the route
+    one_way = [g.n for g in graphs if any((v, u) not in g.arcs for u, v in g.arcs)]
+    assert keyed == [True] * sum(6 if n <= 9 else 3 for n in one_way)
+    assert count == 3 * len(graphs)
 
 
-def test_cyclotomic_integer_route_needs_a_self_adjoint_integer_stack(monkeypatch):
+def test_cyclotomic_integer_route_takes_every_non_integer_stack(monkeypatch):
     keyed = _routes(monkeypatch)
     rng = random.Random(99)
     sp = IndexSpace("vertex", tuple(range(5)))
@@ -430,7 +466,111 @@ def test_cyclotomic_integer_route_needs_a_self_adjoint_integer_stack(monkeypatch
             for x in (mat, herm):
                 got = charpoly_exact(x)
                 want = _berkowitz_reference(x.data, x.is_self_adjoint())
-                assert cospectral_key(got) == cospectral_key(want)
-                assert (got.ring, got.real_certified) == (want.ring, want.real_certified)
-    # only the two self-adjoint stacks over den 1 take the route
-    assert keyed == [True, True]
+                _assert_same(got, want, m)
+    # self-adjoint or not, over den 1 or 2: the route keys the integer core of each
+    assert keyed == [True] * 8
+
+
+GENERIC_ANGLES = (Angle(1, 4), Angle(1, 5), Angle(2, 5), Angle(1, 7), Angle(3, 7), Angle(1, 9),
+                  Angle(3, 10), Angle(5, 6))
+
+
+def test_cyclotomic_route_equals_berkowitz_at_generic_angles(monkeypatch):
+    import digraphwalk.spectra as spectra
+
+    keyed = _routes(monkeypatch)
+    rng = random.Random(2019)
+    graphs = [g for n in (2, 3, 4) for g in enumerate_digraphs(n) if g.arcs]
+    cases = [(g, eta) for g in graphs for eta in GENERIC_ANGLES]
+    # larger digraphs, at orders where the bound asks for two primes or more
+    orders = (14, 8, 13, 7, 13, 10, 13, 10)
+    large = [(random_connected_digraph(rng, n, 0.4), eta) for n, eta in zip(orders, GENERIC_ANGLES)]
+    large.append((random_connected_digraph(rng, 16, 0.4), Angle(1, 5)))
+    for g, eta in large:
+        h = build_H_eta(g, eta)
+        norm = int(np.abs(h.coords.astype(object)).sum(axis=0).max())
+        assert spectra._prime_count(g.n, norm * norm, eta.order) >= 2, (g.n, eta)
+    for g, eta in cases + large:
+        _assert_same(charpoly_exact(build_H_eta(g, eta)),
+                     _berkowitz_reference(util.oracle_H_eta(g, eta).rows, True), g, eta)
+        _assert_same(charpoly_exact(build_H_tilde(g, eta)),
+                     _berkowitz_reference(_oracle_similar_rows(g, eta), True), g, eta)
+    assert keyed and all(keyed)
+
+
+def test_cyclotomic_route_on_random_non_self_adjoint_stacks(monkeypatch):
+    keyed = _routes(monkeypatch)
+    rng = random.Random(808)
+    for m in (8, 10, 14):
+        phi = len(CycScalar.rational(0, m).num)
+        for n, bound, den in ((3, 2, 1), (6, 5, 1), (9, 3, 4), (12, 40, 1)):
+            coords = np.array([[[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                               for _ in range(phi)], dtype=np.int64)
+            sp = IndexSpace("vertex", tuple(range(n)))
+            mat = OpMatrix.from_coords(sp, sp, m, coords, den)
+            rows = [[CycScalar(m, tuple(int(c) for c in coords[:, i, j]), den) for j in range(n)]
+                    for i in range(n)]
+            got = charpoly_exact(mat)
+            assert not mat.is_self_adjoint() and not got.real_certified
+            _assert_same(got, _berkowitz_reference(rows, False), m, n)
+    assert keyed == [True] * 12
+
+
+def test_cyclotomic_route_falls_back_when_the_prime_source_runs_short(monkeypatch):
+    import functools
+
+    import digraphwalk.spectra as spectra
+
+    g = random_connected_digraph(random.Random(5), 12, 0.5)
+    eta = Angle(1, 5)
+    want = _berkowitz_reference(util.oracle_H_eta(g, eta).rows, True)
+    small = build_H_eta(fig_digraph(), eta)
+    small_want = charpoly_exact(small)
+    source = spectra._field_primes
+    monkeypatch.setattr(spectra, "_field_primes", lambda m: source(m)[:1])
+    for name in ("_prime_count", "_roots_of_unity"):
+        monkeypatch.setattr(spectra, name, functools.lru_cache(getattr(spectra, name).__wrapped__))
+    calls = []
+    reference = spectra.berkowitz_charpoly
+    monkeypatch.setattr(spectra, "berkowitz_charpoly", lambda *a: calls.append(1) or reference(*a))
+    _assert_same(charpoly_exact(small), small_want)   # one prime is enough here
+    assert calls == []
+    _assert_same(charpoly_exact(build_H_eta(g, eta)), want)
+    assert calls == [1]
+
+
+def test_prime_and_root_source():
+    from fractions import Fraction
+
+    from digraphwalk.cyclotomic import cyclotomic_polynomial
+    from digraphwalk.spectra import (
+        CHARPOLY_PRIMES,
+        _coordinate_factor,
+        _field_primes,
+        _roots_of_unity,
+    )
+
+    hand = {4: 1, 6: 2, 10: 4, 14: 6}
+    for m in (2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 18, 20):
+        primes = _field_primes(m)
+        if 12 % m == 0:
+            assert primes is CHARPOLY_PRIMES
+        assert len(set(primes)) == len(primes) == len(CHARPOLY_PRIMES)
+        assert all(p < 2 ** 28 and p % m == 1 and _is_prime(p) for p in primes)
+        poly = cyclotomic_polynomial(m)
+        phi = len(poly) - 1
+        vander, inverse = _roots_of_unity(m, len(primes))
+        assert vander.shape == inverse.shape == (len(primes), phi, phi)
+        for p, v, w in zip(primes, vander.tolist(), inverse.tolist()):
+            roots = [row[1] if phi > 1 else p - 1 for row in v]
+            assert len(set(roots)) == phi
+            for r in roots:
+                assert pow(r, m, p) == 1 and all(pow(r, d, p) != 1 for d in range(1, m))
+                assert sum(c * pow(r, i, p) for i, c in enumerate(poly)) % p == 0
+            assert v == [[pow(r, l, p) for l in range(phi)] for r in roots]
+            product = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*w)] for row in v]
+            assert product == [[int(i == j) for j in range(phi)] for i in range(phi)]
+        f = _coordinate_factor(m)
+        assert isinstance(f, Fraction) and f >= 1
+        if m in hand:
+            assert f == hand[m]

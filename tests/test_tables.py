@@ -15,6 +15,8 @@ from digraphwalk.tables import (
     verify_against_published,
 )
 
+import util
+
 
 def test_all_tables_match_published_orders_two_three():
     for table_id, (functor, eta) in STANDARD_TABLES.items():
@@ -104,9 +106,10 @@ def test_emit_empty_is_header_only():
 
 def _reference_key(g, functor, eta):
     """Key of functor(g) from berkowitz_charpoly over Python ints, or over
-    cyclotomic scalars for the quadratic-field Hermitian matrices."""
+    cyclotomic scalars for the Hermitian matrices at angles of order 4 and
+    above (from the per-entry oracle beyond the quadratic fields)."""
     from digraphwalk.operators import build_H_eta
-    from digraphwalk.spectra import berkowitz_charpoly
+    from digraphwalk.spectra import CharPoly, berkowitz_charpoly, cospectral_key
     from digraphwalk.supports import power_support
 
     n = g.n
@@ -120,6 +123,10 @@ def _reference_key(g, functor, eta):
         sign = 1 if eta.p == 0 else -1
         rows = [[(1 if (y, x) in g.arcs else sign) if (x, y) in g.arcs
                  else (sign if (y, x) in g.arcs else 0) for y in range(n)] for x in range(n)]
+    elif eta.order not in (4, 6):
+        one, zero = CycScalar.rational(1, eta.order), CycScalar.rational(0, eta.order)
+        coeffs = berkowitz_charpoly([list(r) for r in util.oracle_H_eta(g, eta).rows], one, zero)
+        return cospectral_key(CharPoly(tuple(reversed(coeffs)), "cyclotomic-real", True))
     else:
         one, zero = CycScalar.rational(1, eta.order), CycScalar.rational(0, eta.order)
         coeffs = berkowitz_charpoly([list(r) for r in build_H_eta(g, eta).data], one, zero)
@@ -138,6 +145,8 @@ def test_kernel_keys_equal_python_reference_orders_two_to_four():
     cases = [(functor if functor != "H" else "Heta", eta)
              for functor, eta in STANDARD_TABLES.values()]
     cases += [("Heta", Angle(0, 1)), ("Heta", Angle(1, 1))]
+    # generic angles: _classing_keys keys them through charpoly_exact
+    cases += [("Heta", Angle(2, 5)), ("Heta", Angle(3, 7))]
     # regimes 1 and 3 at an irrational cosine: the reference takes the exact OpMatrix power
     cases += [("U2plus", Angle(2, 5)), ("U2plus", Angle(3, 5))]
     for order in (2, 3, 4):
