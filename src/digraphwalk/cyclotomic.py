@@ -4,18 +4,18 @@ Walk operators built from a digraph with rotation angle eta = p*pi/q have
 entries that are rational multiples of powers of e^{i*pi/q} = zeta_{2q}.
 Everything here is exact: elements are integer coordinate vectors over the
 power basis 1, zeta, ..., zeta^{phi(m)-1} (reduced by the m-th cyclotomic
-polynomial) with a single positive denominator.  Sign tests on real parts
-never use a fixed epsilon: rational cases are decided by integer arithmetic,
-the rest by interval arithmetic at escalating precision backed by an exact
-zero test.
+polynomial) with a single positive denominator.
 
-Arrays of elements (``real_part_signs``, ``complex_images``) take the same
-decisions a stack at a time: integer coordinate maps proven to fit int64
-from the maxima (Python ints beyond), an exact vectorised zero test, and a
-float64 evaluation that is used only where a stated rigorous error bound
-certifies it; every entry the bound leaves open goes to the scalar route.
-Integer products of stacks run through ``_exact_matmul``, one exact route
-shared by the walk operators and the sign kernel.
+Signs of real parts and floating images are taken a coordinate stack at a
+time (``real_part_signs``, ``complex_images``); a scalar is a one-column
+stack.  No decision uses a fixed epsilon: rational cosines give integer
+sums, an integer conjugation map finds every exact zero, a float64 value
+decides only where a stated error bound certifies it, and every entry left
+open takes fixed-point sums whose integer error bound is proved, at a
+precision that doubles until the bound decides.  Integer coordinate maps
+run in int64 where the maxima prove it fits, in Python ints beyond; integer
+products of stacks run through ``_exact_matmul``, one exact route shared by
+the walk operators and the sign kernel.
 """
 
 from __future__ import annotations
@@ -381,42 +381,21 @@ class CycScalar:
 
     # -- analytic queries (exact) ---------------------------------------
 
+    def _column(self) -> np.ndarray:
+        return np.array(self.num, dtype=object).reshape(-1, 1)
+
     def real_part_sign(self) -> int:
-        """Exact sign (-1, 0, +1) of the real part."""
-        m = self.m
-        if m == 2:
-            c = self.num[0]
-        elif m == 4:
-            c = self.num[0]  # Re(a + b*i) = a
-        elif m == 6:
-            c = 2 * self.num[0] + self.num[1]  # Re(a + b*zeta_6) = a + b/2
-        else:
-            if (self + self.conj()).is_zero():
-                return 0
-            return _interval_real_sign(self)
-        return (c > 0) - (c < 0)
+        """Exact sign (-1, 0, +1) of the real part: ``real_part_signs`` of
+        the one-column stack of the coordinates."""
+        return int(real_part_signs(self.m, self._column())[0])
 
     def imag_is_zero(self) -> bool:
         return self == self.conj()
 
     def to_complex(self) -> complex:
-        """Floating image, relative error <= 2^-50."""
-        if self.is_zero():
-            return 0j
-        m = self.m
-        if m == 2:
-            return complex(float(Fraction(self.num[0], self.den)), 0.0)
-        if m == 4:
-            return complex(
-                float(Fraction(self.num[0], self.den)),
-                float(Fraction(self.num[1], self.den)),
-            )
-        if m == 6:
-            a, b = self.num
-            re = float(Fraction(2 * a + b, 2 * self.den))
-            im = float(Fraction(b, self.den)) * _SQRT3_HALF
-            return complex(re, im)
-        return _interval_to_complex(self)
+        """Floating image within relative error 2^-50: ``complex_images``
+        of the one-column stack of the coordinates over ``den``."""
+        return complex(complex_images(self.m, self._column(), self.den)[0])
 
     # -- rendering -------------------------------------------------------
 
@@ -444,9 +423,6 @@ class CycScalar:
 
     def __repr__(self):
         return f"CycScalar({self.render()})"
-
-
-_SQRT3_HALF = 3**0.5 / 2
 
 
 def _poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
@@ -486,79 +462,6 @@ def _poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
     return [c / lead for c in s1]
 
 
-def _interval_real_sign(x: CycScalar) -> int:
-    # caller guarantees Re(x) != 0; escalate until the interval excludes 0
-    prec = 64
-    while prec <= (1 << 20):
-        sign = _interval_eval_sign(x, prec)
-        if sign:
-            return sign
-        prec *= 2
-    raise RuntimeError(f"sign of Re({x!r}) unresolved at extreme precision")
-
-
-@lru_cache(maxsize=32)
-def _interval_unit_circle(m: int, prec: int) -> tuple:
-    """Intervals (cos, sin) of 2*pi*k/m at ``prec`` bits, one per power-basis
-    coordinate k; the same for every element of Q(zeta_m), so made once."""
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        two_pi = 2 * iv.pi
-        return tuple((iv.cos(two_pi * k / m), iv.sin(two_pi * k / m))
-                     for k in range(_ring(m).phi))
-    finally:
-        iv.prec = old
-
-
-def _interval_eval_sign(x: CycScalar, prec: int) -> int:
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        total = iv.mpf(0)
-        for c, (cos, _) in zip(x.num, _interval_unit_circle(x.m, prec)):
-            if c:
-                total += c * cos
-        if total.a > 0:
-            return 1
-        if total.b < 0:
-            return -1
-        return 0
-    finally:
-        iv.prec = old
-
-
-def _interval_to_complex(x: CycScalar) -> complex:
-    re_zero = (x + x.conj()).is_zero()
-    im_zero = x.imag_is_zero()
-    iv = mpmath.iv
-    old = iv.prec
-    prec = 96
-    try:
-        while True:
-            iv.prec = prec
-            re = iv.mpf(0)
-            im = iv.mpf(0)
-            for c, (cos, sin) in zip(x.num, _interval_unit_circle(x.m, prec)):
-                if c:
-                    re += c * cos
-                    im += c * sin
-            re_mid = 0.0 if re_zero else float(re.mid) / x.den
-            im_mid = 0.0 if im_zero else float(im.mid) / x.den
-            width = max(
-                0.0 if re_zero else float(re.delta),
-                0.0 if im_zero else float(im.delta),
-            ) / x.den
-            scale = abs(re_mid) + abs(im_mid)
-            if scale > 0 and width <= scale * 2**-55:
-                return complex(re_mid, im_mid)
-            prec *= 2
-    finally:
-        iv.prec = old
-
-
 # -- module-level operations (spec surface) --------------------------------
 
 
@@ -578,9 +481,10 @@ def to_float(x: CycScalar) -> complex:
 def rational_real_coeffs(m: int) -> tuple[Fraction, ...] | None:
     """cos(2*pi*k/m) for the basis powers, when all are rational (m | 6 or m = 4).
 
-    Lets array-valued callers take exact integer sign decisions in the fields
-    that cover every tabulated angle; returns None when the cosines are
-    irrational and the certified or interval paths must be used.
+    In these fields, which cover every tabulated angle, the sign of a real
+    part is that of one integer weighted sum of the coordinates
+    (``real_part_signs``, ``supports``); None when the cosines are
+    irrational.
     """
     if m == 2:
         return (Fraction(1),)
@@ -609,10 +513,11 @@ def _max_abs(arr: np.ndarray) -> int:
 
 
 def exact_ints(arr: np.ndarray, growth: int) -> np.ndarray:
-    """An integer array as int64 when growth * max|arr| < 2**63, otherwise as
-    Python ints.  An integer map whose rows have absolute sums <= growth then
-    keeps every partial sum below 2**63, in any order of summation."""
-    if growth * _max_abs(arr) < INT64_BOUND:
+    """An integer array as int64 when max(growth, 1) * max|arr| < 2**63,
+    otherwise as Python ints.  An integer map whose rows have absolute sums
+    <= growth then keeps every partial sum below 2**63, in any order of
+    summation."""
+    if max(growth, 1) * _max_abs(arr) < INT64_BOUND:
         return arr.astype(np.int64, copy=False)
     return arr.astype(object, copy=False)
 
@@ -694,13 +599,32 @@ def _conj_map(m: int) -> np.ndarray:
     return _powers(m, -np.arange(_ring(m).phi))
 
 
+# Fixed-point cos and sin start at FIXED_BITS and double until the proved
+# bound decides; an image part is kept when its error is at most
+# 1/IMAGE_MARGIN of the sum of both.
+FIXED_BITS = 120
+IMAGE_MARGIN = 2 ** 61
+_SQRT3_HALF = 3**0.5 / 2
+
+
+@lru_cache(maxsize=64)
+def _unit_circle_fixed(m: int, bits: int) -> np.ndarray:
+    """(2, phi) Python ints: cos and sin of 2*pi*k/m times 2^bits, each
+    rounded from a value 30 bits more precise, so within 1 of the truth."""
+    with mpmath.workprec(bits + 30):
+        angles = [2 * mpmath.pi * k / m for k in range(_ring(m).phi)]
+        scale = mpmath.mpf(2) ** bits
+        return _read_only(np.array([[int(mpmath.nint(f(a) * scale)) for a in angles]
+                                    for f in (mpmath.cos, mpmath.sin)], dtype=object))
+
+
 @lru_cache(maxsize=32)
 def _cosines_float(m: int) -> np.ndarray:
-    """(phi,) float64 cos(2*pi*k/m) for the basis powers k.  Each is an
-    80-bit value converted to float64, so within 2^-51 of the truth."""
-    with mpmath.workprec(80):
-        return _read_only(np.array([float(mpmath.cos(2 * mpmath.pi * k / m))
-                                    for k in range(_ring(m).phi)]))
+    """(phi,) float64 cos(2*pi*k/m) for the basis powers k: the integers of
+    _unit_circle_fixed(m, FIXED_BITS) over 2^FIXED_BITS, correctly rounded,
+    so within 2^-53 + 2^-FIXED_BITS < 2^-51 of the truth."""
+    cos = _unit_circle_fixed(m, FIXED_BITS)[0] / (1 << FIXED_BITS)
+    return _read_only(cos.astype(np.float64))
 
 
 def _float_real_parts(m: int, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -730,7 +654,7 @@ def real_part_signs(m: int, coords: np.ndarray) -> np.ndarray:
     Rational cosines (m = 2, 4, 6): one integer weighted sum of the
     coordinates.  Otherwise, in order: an entry whose x + conj(x) coordinates
     all vanish has sign 0; the float64 value decides wherever its magnitude
-    exceeds the rigorous bound of _float_real_parts; CycScalar.real_part_sign
+    exceeds the rigorous bound of _float_real_parts; _fixed_point_signs
     decides every entry left."""
     shape = coords.shape[1:]
     re = rational_real_coeffs(m)
@@ -746,26 +670,29 @@ def real_part_signs(m: int, coords: np.ndarray) -> np.ndarray:
     values, err = _float_real_parts(m, flat[:, idx])
     sure = np.abs(values) > err
     out[idx[sure]] = np.sign(values[sure])
-    for i in idx[~sure].tolist():
-        out[i] = CycScalar(m, tuple(int(c) for c in flat[:, i])).real_part_sign()
+    idx = idx[~sure]
+    out[idx] = _fixed_point_signs(m, flat[:, idx])
     return out.reshape(shape)
 
 
-# Fixed-point cos and sin for complex_images: integers within 1 of 2^120 f;
-# a part is kept when its error is at most 1/IMAGE_MARGIN of the sum of both.
-FIXED_BITS = 120
-IMAGE_MARGIN = 2 ** 61
-
-
-@lru_cache(maxsize=32)
-def _unit_circle_fixed(m: int) -> np.ndarray:
-    """(2, phi) Python ints: cos and sin of 2*pi*k/m times 2^FIXED_BITS, each
-    rounded from a value 30 bits more precise, so within 1 of the truth."""
-    with mpmath.workprec(FIXED_BITS + 30):
-        angles = [2 * mpmath.pi * k / m for k in range(_ring(m).phi)]
-        scale = mpmath.mpf(2) ** FIXED_BITS
-        return _read_only(np.array([[int(mpmath.nint(f(a) * scale)) for a in angles]
-                                    for f in (mpmath.cos, mpmath.sin)], dtype=object))
+def _fixed_point_signs(m: int, coords: np.ndarray) -> np.ndarray:
+    """Signs (K,) of the real parts of a (phi, K) coordinate stack, none of
+    them 0, from the fixed-point sums S = sum_k c_k F_k with the cosine
+    integers F_k of _unit_circle_fixed(m, bits).  Each F_k is within 1 of
+    2^bits cos, so |S - 2^bits Re| <= A = sum_k |c_k|, and S has the sign
+    of Re wherever |S| > A.  Open entries run again at twice the bits, from
+    FIXED_BITS on.  That ends, since Re is not 0: 2^bits |Re| outgrows 2 A."""
+    out = np.zeros(coords.shape[1], dtype=np.int64)
+    idx = np.arange(coords.shape[1])
+    coords = coords.astype(object)
+    spread = np.abs(coords).sum(axis=0)
+    bits = FIXED_BITS
+    while idx.size:
+        s = _unit_circle_fixed(m, bits)[0] @ coords
+        sure = np.abs(s) > spread
+        out[idx[sure]] = np.sign(s[sure])
+        idx, coords, spread, bits = idx[~sure], coords[:, ~sure], spread[~sure], 2 * bits
+    return out
 
 
 def complex_images(m: int, coords: np.ndarray, den: int) -> np.ndarray:
@@ -773,47 +700,49 @@ def complex_images(m: int, coords: np.ndarray, den: int) -> np.ndarray:
     coordinate stack over Q(zeta_m), each within relative error 2^-50 of
     the truth, as ``to_complex`` promises.
 
-    m = 2, 4, 6 take to_complex's closed forms: quotients of integers below
-    2^51, each exact in float64, so one correctly rounded division gives
-    the value of to_complex's correctly rounded Fraction.  Elsewhere the
-    parts are fixed-point sums S = sum_k c_k F_k with the integers F_k of
-    _unit_circle_fixed: exact integers, each within A = sum_k |c_k| of
-    2^120 times the true part, so a part that is exactly 0 (found by the
-    integer conjugation map) is set to 0.  Python rounds S / (den 2^120)
-    correctly; where IMAGE_MARGIN A <= |S_re| + |S_im| the error is below
-    1.5 * 2^-53 |x|.  Both tests and both quotients are the same for any
-    common multiple of an element's coordinates and den, so the stack's one
-    den gives the image of each reduced element.  Every entry that the
-    tests leave open takes to_complex."""
+    m = 2, 4, 6 with den and every coordinate below 2^51 take closed forms:
+    quotients of integers exact in float64, so one correctly rounded
+    division gives the correctly rounded value of each rational part.
+    Every other entry takes fixed-point sums S = sum_k c_k F_k with the
+    integers F_k of _unit_circle_fixed(m, bits): exact integers, each
+    within A = sum_k |c_k| of 2^bits times the true part, so a part that is
+    exactly 0 (found by the integer conjugation map) is set to 0.  Python
+    rounds S / (den 2^bits) correctly; where IMAGE_MARGIN A <= |S_re| +
+    |S_im| the error is below 1.5 * 2^-53 |x|.  Open entries run again at
+    twice the bits, from FIXED_BITS on; that ends, since x is not 0 and
+    |S_re| + |S_im| grows with 2^bits while A stays.  Both tests and both
+    quotients are the same for any common multiple of an element's
+    coordinates and den, so the stack's one den gives the image of each
+    reduced element."""
     out = np.zeros(coords.shape[1], dtype=complex)
     where = np.flatnonzero(coords.any(axis=0))
     coords = coords[:, where]
-    if m in (2, 4, 6):
-        if den < 2 ** 51 and _max_abs(coords) < 2 ** 51:
-            c = coords.astype(np.float64)
-            if m == 6:
-                out.real[where] = (2 * c[0] + c[1]) / (2 * den)
-                out.imag[where] = c[1] / den * _SQRT3_HALF
-            else:
-                out.real[where] = c[0] / den
-                if m == 4:
-                    out.imag[where] = c[1] / den
+    if m in (2, 4, 6) and den < 2 ** 51 and _max_abs(coords) < 2 ** 51:
+        c = coords.astype(np.float64)
+        if m == 6:
+            out.real[where] = (2 * c[0] + c[1]) / (2 * den)
+            out.imag[where] = c[1] / den * _SQRT3_HALF
         else:
-            for i, num in zip(where.tolist(), coords.T.tolist()):
-                out[i] = CycScalar(m, tuple(num), den).to_complex()
+            out.real[where] = c[0] / den
+            if m == 4:
+                out.imag[where] = c[1] / den
         return out
     phi = coords.shape[0]
     coords = coords.astype(object)
     eye, conj = np.eye(phi, dtype=np.int64), _conj_map(m)
-    parts = _unit_circle_fixed(m) @ coords
-    parts[0][~(coordinate_map(eye + conj, coords) != 0).any(axis=0)] = 0
-    parts[1][~(coordinate_map(eye - conj, coords) != 0).any(axis=0)] = 0
-    spread = np.abs(coords).sum(axis=0)
-    scale = den << FIXED_BITS
-    for i, num, re, im, a in zip(where.tolist(), coords.T.tolist(), parts[0].tolist(),
-                                 parts[1].tolist(), spread.tolist()):
-        if a * IMAGE_MARGIN <= abs(re) + abs(im):
-            out[i] = complex(re / scale, im / scale)
-        else:
-            out[i] = CycScalar(m, tuple(num), den).to_complex()
+    real = (coordinate_map(eye + conj, coords) != 0).any(axis=0)
+    imag = (coordinate_map(eye - conj, coords) != 0).any(axis=0)
+    margin = np.abs(coords).sum(axis=0) * IMAGE_MARGIN
+    bits = FIXED_BITS
+    while where.size:
+        re, im = _unit_circle_fixed(m, bits) @ coords
+        re[~real], im[~imag] = 0, 0
+        sure = margin <= np.abs(re) + np.abs(im)
+        scale = den << bits
+        for i, r, j in zip(where[sure].tolist(), re[sure].tolist(), im[sure].tolist()):
+            out[i] = complex(r / scale, j / scale)
+        keep = ~sure
+        where, coords, real, imag, margin = (where[keep], coords[:, keep], real[keep],
+                                             imag[keep], margin[keep])
+        bits *= 2
     return out

@@ -46,7 +46,7 @@ from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar, cyclotomic_polynomial, exact_ints
+from .cyclotomic import Angle, CycScalar, _conj_map, cyclotomic_polynomial, exact_ints
 from .cycles import classify_cycles
 from .digraph import Digraph, PreconditionError, arc_space, weakly_connected
 from .operators import OpMatrix, build_H_tilde, build_U_theta
@@ -444,14 +444,21 @@ class CharPoly:
                           if not c.is_zero()) or "0"
 
 
-def _classify_ring(coeffs) -> str:
+def _classify_ring(coeffs, real: bool) -> str:
     if all(c.is_rational() for c in coeffs):
         if all(c.rational_value().denominator == 1 for c in coeffs):
             return "integer"
         return "rational"
-    if all(c.imag_is_zero() for c in coeffs):
-        return "cyclotomic-real"
-    return "cyclotomic"
+    return "cyclotomic-real" if real else "cyclotomic"
+
+
+def _all_real(coeffs, m: int) -> bool:
+    """Whether every element of Q(zeta_m) in coeffs is real: one exact
+    product of their (len(coeffs), phi) Python-int coordinates with the
+    integer map x -> x - conj(x)."""
+    nums = np.array([c.lift(m).num for c in coeffs], dtype=object)
+    imag = (np.eye(nums.shape[1], dtype=np.int64) - _conj_map(m)).astype(object)
+    return not (nums @ imag.T).any()
 
 
 def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[tuple[int, ...]] | None:
@@ -524,11 +531,10 @@ def charpoly_exact(m: OpMatrix) -> CharPoly:
         zero = CycScalar.rational(0)
         one = CycScalar.rational(1)
         coeffs = tuple(reversed(berkowitz_charpoly(rows, one, zero)))
-    if self_adjoint:
-        for c in coeffs:
-            if not c.imag_is_zero():
-                raise ArithmeticError("self-adjoint input produced a non-real coefficient")
-    ring = _classify_ring(coeffs)
+    real = _all_real(coeffs, similar.m)
+    if self_adjoint and not real:
+        raise ArithmeticError("self-adjoint input produced a non-real coefficient")
+    ring = _classify_ring(coeffs, real)
     return CharPoly(coeffs, ring, real_certified=self_adjoint or ring in ("integer", "rational"))
 
 

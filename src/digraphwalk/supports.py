@@ -7,8 +7,8 @@ products are exact.  The square at an angle whose cosine is rational (every
 tabulated angle) is one product, folded as below.  Every other power and
 angle takes the full products of ``_product_signs``: integer coefficient
 stacks over Z[zeta_m], whose signs ``real_part_signs`` certifies (an exact
-zero test, a float64 value under a rigorous error bound, and the exact
-scalar for whatever the bound leaves open).
+zero test, a float64 value under a rigorous error bound, and fixed-point
+sums at doubling precision for whatever the bound leaves open).
 
 Why the integer route is exact at any size: U[a, b] is nonzero only when
 t(b) = o(a), so an entry (U^2)[a, c] has at most one middle arc,

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import util
 
 from digraphwalk.cyclotomic import (
     Angle,
@@ -129,7 +130,7 @@ def test_real_part_sign_examples():
     assert real_part_sign(CycScalar.rational(1, 6) + make_root(Angle(1, 3))) == 1
 
 
-def test_real_part_sign_interval_path():
+def test_real_part_sign_at_irrational_cosines():
     # order 8 and 12 have irrational real-part forms
     z8 = CycScalar.zeta(8)
     assert real_part_sign(z8) == 1
@@ -178,16 +179,20 @@ def test_to_float_random_against_numeric(tmp_path):
             assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
-def test_interval_paths_at_pi_over_5_and_7():
-    # orders 10 and 14 take the interval paths of to_float and real_part_sign;
-    # the second pass reads cached cos/sin intervals, and mpmath's working
+def test_fixed_point_paths_at_pi_over_5_and_7(monkeypatch):
+    # orders 10 and 14 take the fixed-point sums of to_float, and in the
+    # second pass, with no float certified, those of real_part_sign; the
+    # second pass reads cached cos/sin integers, and mpmath's working
     # precision is left as it was
     import mpmath
 
+    from digraphwalk import cyclotomic
+
     rng = random.Random(11)
-    prec = mpmath.iv.prec
+    prec = mpmath.mp.prec
     for m in (10, 14):
-        for _ in range(2):
+        for err in (cyclotomic.FLOAT_ERR, float("inf")):
+            monkeypatch.setattr(cyclotomic, "FLOAT_ERR", err)
             for _ in range(20):
                 x = random_scalar(rng, m)
                 direct = sum(
@@ -196,7 +201,7 @@ def test_interval_paths_at_pi_over_5_and_7():
                 assert abs(to_float(x) - direct) <= 1e-12 * max(1.0, abs(direct))
                 if abs(direct.real) > 1e-9:
                     assert real_part_sign(x) == (1 if direct.real > 0 else -1)
-    assert mpmath.iv.prec == prec
+    assert mpmath.mp.prec == prec
 
 
 def test_render_round_trip_readable():
@@ -205,22 +210,94 @@ def test_render_round_trip_readable():
     assert CycScalar.rational(0, 4).render() == "0"
 
 
-def test_real_part_signs_equal_scalar_signs():
-    # int64 stacks, and Python ints beyond the float64 range
+def _oracle_stacks():
+    # int64 stacks, and Python ints beyond the float64 range, each with one
+    # zero entry, one real entry x + conj(x) and one imaginary x - conj(x)
     import numpy as np
 
-    from digraphwalk.cyclotomic import _ring, real_part_signs
+    from digraphwalk.cyclotomic import _ring
 
     rng = random.Random(2718)
     for m in (2, 4, 6, 8, 10, 12, 14, 30):
         phi = _ring(m).phi
         for scale in (3, 2 ** 40, 2 ** 1100):
             coords = [[rng.randint(-scale, scale) for _ in range(40)] for _ in range(phi)]
-            for k in range(phi):   # one zero entry
+            x = CycScalar(m, tuple(c[0] for c in coords), _normalized=True)
+            for k in range(phi):
                 coords[k][1] = 0
+                coords[k][2] = (x + x.conj()).num[k]
+                coords[k][3] = (x - x.conj()).num[k]
             stack = np.array(coords, dtype=object if scale > 2 ** 62 else np.int64)
-            want = [CycScalar(m, tuple(c[j] for c in coords)).real_part_sign() for j in range(40)]
-            assert real_part_signs(m, stack).tolist() == want, (m, scale)
+            yield m, scale, stack, [CycScalar(m, tuple(c[j] for c in coords)) for j in range(40)]
+
+
+def test_real_part_signs_equal_scalar_signs():
+    from digraphwalk.cyclotomic import real_part_signs
+
+    for m, scale, stack, xs in _oracle_stacks():
+        want = [util.oracle_real_sign(x) for x in xs]
+        assert real_part_signs(m, stack).tolist() == want, (m, scale)
+        assert [x.real_part_sign() for x in xs] == want, (m, scale)
+
+
+def test_array_evaluators_never_call_the_scalar_methods(monkeypatch):
+    import numpy as np
+
+    from digraphwalk import cyclotomic
+    from digraphwalk.cyclotomic import complex_images, real_part_signs
+
+    def refuse(x):
+        raise AssertionError("the array evaluators read no scalar method")
+
+    monkeypatch.setattr(CycScalar, "real_part_sign", refuse)
+    monkeypatch.setattr(CycScalar, "to_complex", refuse)
+    for m, scale, stack, xs in _oracle_stacks():
+        want = [util.oracle_real_sign(x) for x in xs]
+        for err in (cyclotomic.FLOAT_ERR, float("inf")):
+            monkeypatch.setattr(cyclotomic, "FLOAT_ERR", err)
+            assert real_part_signs(m, stack).tolist() == want, (m, scale, err)
+        den = 3 ** 5 if scale < 2 ** 62 else 3 ** 700   # images near 2^-9 at 2^1100
+        got = complex_images(m, stack, den)
+        images = np.array([util.oracle_complex(x * Fraction(1, den)) for x in xs])
+        assert np.all(np.abs(got - images) <= 2.0 ** -50 * np.abs(images)), (m, scale)
+        assert np.array_equal(got.real == 0, images.real == 0), (m, scale)
+        assert np.array_equal(got.imag == 0, images.imag == 0), (m, scale)
+
+
+def _pell_elements(bits: int):
+    """x = q (zeta_8 + zeta_8^-1) - p = q sqrt(2) - p for the first two Pell
+    convergents p/q of sqrt(2) with q of at least ``bits`` bits, each with
+    the exact sign of 2 q^2 - p^2 = +-1: one of each sign."""
+    two_cos = CycScalar.zeta(8) + CycScalar.zeta(8).conj()
+    p, q = 1, 1
+    while q.bit_length() < bits:
+        p, q = p + 2 * q, p + q
+    for _ in range(2):
+        yield q * two_cos - p, 2 * q * q - p * p
+        p, q = p + 2 * q, p + q
+
+
+def test_doubling_decides_pell_convergents_of_sqrt2():
+    import numpy as np
+
+    from digraphwalk.cyclotomic import FIXED_BITS, _unit_circle_fixed, real_part_signs
+
+    for bits in (100, 200):
+        assert {sign for _, sign in _pell_elements(bits)} == {-1, 1}
+        for x, sign in _pell_elements(bits):
+            for y, want in ((x, sign), (-x, -sign)):
+                column = np.array(y.num, dtype=object).reshape(-1, 1)
+                assert y.real_part_sign() == want == util.oracle_real_sign(y)
+                assert real_part_signs(8, column).tolist() == [want]
+                image = util.oracle_complex(y)
+                assert image.imag == 0.0 and y.to_complex().imag == 0.0
+                assert abs(y.to_complex() - image) <= 2.0 ** -50 * abs(image)
+    # near 2^200 the sums at FIXED_BITS and twice that are open, with the
+    # wrong sign: only the third precision decides
+    x, sign = next((x, s) for x, s in _pell_elements(200) if s < 0)
+    column = np.array(x.num, dtype=object).reshape(-1, 1)
+    for b in (FIXED_BITS, 2 * FIXED_BITS):
+        assert 0 < int((_unit_circle_fixed(8, b)[0] @ column)[0]) <= sum(map(abs, x.num))
 
 
 def test_exact_ints_counts_the_most_negative_int64():

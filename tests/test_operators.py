@@ -325,8 +325,8 @@ def test_from_coords_keeps_its_own_stack():
 
 
 def _entrywise_image(m: OpMatrix) -> np.ndarray:
-    # the per-entry route, scaled like to_complex_array
-    out = np.array([[x.to_complex() for x in row] for row in m.data], dtype=complex)
+    # the per-entry oracle, scaled like to_complex_array
+    out = np.array([[util.oracle_complex(x) for x in row] for row in m.data], dtype=complex)
     if m.row_sqrt is not None:
         out = np.array([d ** -0.5 for d in m.row_sqrt])[:, None] * out
     if m.col_sqrt is not None:
@@ -344,24 +344,25 @@ def test_complex_array_equals_entrywise_images_at_generic_orders(monkeypatch):
     mats = [build(g, eta) for g in graphs if g.arcs for eta in angles
             for build in (build_U_theta, build_H_tilde)]
     want = [_entrywise_image(m) for m in mats]
-    scalar_image = CycScalar.to_complex
-    fallbacks = []
+    bits = set()
+    unit_circle = cyclotomic._unit_circle_fixed
 
-    def recorded(x):
-        fallbacks.append(x)
-        return scalar_image(x)
+    def recorded(m, b):
+        bits.add(b)
+        return unit_circle(m, b)
 
-    monkeypatch.setattr(CycScalar, "to_complex", recorded)
-    for m, w in zip(mats, want):
-        got = m.to_complex_array()
-        # both within 2^-50 of the truth, relative to each entry
-        assert np.all(np.abs(got - w) <= 2.0 ** -48 * np.abs(w)), m
-        assert np.array_equal(got.real == 0, w.real == 0) and np.array_equal(got.imag == 0, w.imag == 0)
-    # the certified fixed-point sums served every entry outside the closed forms
-    assert all(x.m in (2, 4, 6) for x in fallbacks)
-    # and an infinite margin sends every entry to the per-entry route
-    monkeypatch.setattr(cyclotomic, "IMAGE_MARGIN", float("inf"))
-    assert all(np.array_equal(m.to_complex_array(), w) for m, w in zip(mats, want))
+    monkeypatch.setattr(cyclotomic, "_unit_circle_fixed", recorded)
+    # a margin of 2^400 leaves every sum open at FIXED_BITS and twice that
+    for margin in (cyclotomic.IMAGE_MARGIN, 2 ** 400):
+        monkeypatch.setattr(cyclotomic, "IMAGE_MARGIN", margin)
+        for m, w in zip(mats, want):
+            got = m.to_complex_array()
+            # both within 2^-50 of the truth, relative to each entry
+            assert np.all(np.abs(got - w) <= 2.0 ** -48 * np.abs(w)), m
+            assert (np.array_equal(got.real == 0, w.real == 0)
+                    and np.array_equal(got.imag == 0, w.imag == 0))
+    f = cyclotomic.FIXED_BITS
+    assert bits == {f, 2 * f, 4 * f}
 
 
 # -- the coordinate stacks against the per-entry oracle ------------------------------

@@ -375,13 +375,18 @@ def test_hermitian_kernel_refuses_non_binary_stacks():
 
 
 def _berkowitz_reference(rows, self_adjoint: bool):
-    """charpoly_exact's result from berkowitz_charpoly over CycScalar rows."""
-    from digraphwalk.spectra import CharPoly, _classify_ring, berkowitz_charpoly
+    """charpoly_exact's result from berkowitz_charpoly over CycScalar rows,
+    its ring read coefficient by coefficient."""
+    from digraphwalk.spectra import CharPoly, berkowitz_charpoly
 
     m = math.lcm(2, *(x.m for row in rows for x in row))
     coeffs = tuple(reversed(berkowitz_charpoly([list(r) for r in rows], CycScalar.rational(1, m),
                                                CycScalar.rational(0, m))))
-    ring = _classify_ring(coeffs)
+    if all(c.is_rational() for c in coeffs):
+        integer = all(c.rational_value().denominator == 1 for c in coeffs)
+        ring = "integer" if integer else "rational"
+    else:
+        ring = "cyclotomic-real" if all(c.imag_is_zero() for c in coeffs) else "cyclotomic"
     return CharPoly(coeffs, ring, self_adjoint or ring in ("integer", "rational"))
 
 

@@ -1,14 +1,18 @@
-"""Shared test fixtures: the worked-example digraph, random generators and
-the per-entry oracle of the walk operators."""
+"""Shared test fixtures: the worked-example digraph, random generators, the
+per-entry oracle of the walk operators and that of real-part signs and
+floating images."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from digraphwalk.cyclotomic import Angle, CycScalar, make_root
+import mpmath
+
+from digraphwalk.cyclotomic import Angle, CycScalar, cyclotomic_polynomial, make_root
 from digraphwalk.digraph import Digraph, arc_space, parse_arc_list
 
 # the four-vertex example: one digon {0,1}, arcs 2->1, 1->3, 3->2
@@ -182,3 +186,60 @@ def oracle_is_identity(a: Dense) -> bool:
 
 def oracle_equal(a: Dense, b: Dense) -> bool:
     return (a.row_sqrt, a.col_sqrt) == (b.row_sqrt, b.col_sqrt) and a.rows == b.rows
+
+
+# -- the per-entry oracle of real-part signs and floating images ---------------------
+#
+# Independent of real_part_signs and complex_images: exact zeros from CycScalar
+# conjugation, rational cosines (m | 12 with phi <= 2) in Fraction arithmetic,
+# and elsewhere one mpmath evaluation at a precision that the bit length of
+# the coordinates proves sufficient.
+
+_RATIONAL_COS = {1: (1,), 2: (1,), 3: (1, Fraction(-1, 2)), 4: (1, 0), 6: (1, Fraction(1, 2))}
+_RATIONAL_SIN = {3: math.sqrt(3) / 2, 4: 1.0, 6: math.sqrt(3) / 2}   # sin(2 pi / m)
+
+
+def _oracle_prec(x: CycScalar) -> int:
+    """Working bits that decide Re(x) and give x to 2^-60 relative error.
+
+    With a = sum |num| < 2^L, the nonzero algebraic integers 2 Re(num) and num
+    have norms of modulus >= 1 and phi / 2 - 1 other conjugate pairs of
+    modulus <= 2a, so |Re(num)| and |num| exceed 2^-(phi/2 - 1)(L + 1) - 1;
+    an evaluation at P bits is within 4 phi a 2^-P of the truth."""
+    phi = len(x.num)
+    return (phi // 2 + 1) * (sum(map(abs, x.num)).bit_length() + 1) + 64
+
+
+@lru_cache(maxsize=None)
+def _unit_circle_mp(m: int, prec: int) -> tuple:
+    with mpmath.workprec(prec):
+        angles = [2 * mpmath.pi * k / m for k in range(len(cyclotomic_polynomial(m)) - 1)]
+        return tuple(tuple(f(a) for a in angles) for f in (mpmath.cos, mpmath.sin))
+
+
+def _oracle_parts_mp(x: CycScalar, parts) -> list:
+    """Re(x) (part 0) and Im(x) (part 1) as mpmath numbers."""
+    prec = -(-_oracle_prec(x) // 64) * 64
+    with mpmath.workprec(prec):
+        circle = _unit_circle_mp(x.m, prec)
+        return [mpmath.fdot(x.num, circle[p]) / x.den for p in parts]
+
+
+def oracle_real_sign(x: CycScalar) -> int:
+    """Exact sign (-1, 0, 1) of Re(x)."""
+    if x.m in _RATIONAL_COS:
+        re = sum(c * cos for c, cos in zip(x.num, _RATIONAL_COS[x.m]) if c)
+        return (re > 0) - (re < 0)
+    if (x + x.conj()).is_zero():
+        return 0
+    return int(mpmath.sign(_oracle_parts_mp(x, (0,))[0]))
+
+
+def oracle_complex(x: CycScalar) -> complex:
+    """x as a complex float, with exact zero parts."""
+    if x.m in _RATIONAL_COS:
+        re = sum(c * cos for c, cos in zip(x.num, _RATIONAL_COS[x.m]))
+        im = float(Fraction(x.num[-1], x.den)) * _RATIONAL_SIN[x.m] if len(x.num) > 1 else 0.0
+        return complex(float(Fraction(re) / x.den), im)
+    re, im = map(float, _oracle_parts_mp(x, (0, 1)))
+    return complex(0.0 if (x + x.conj()).is_zero() else re, 0.0 if x.imag_is_zero() else im)
