@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=("csv", "json", "markdown"), default="markdown")
     t.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes for classing, one base (underlying graph) "
-                        "at a time; an order-6 column takes 13 to 16 s with one, "
-                        "about half that with two")
+                        "at a time; an order-6 column takes 7 to 9 s with one, "
+                        "about 5 s with two")
     t.add_argument("--verify-paper", action="store_true",
                    help="compare every cell against the published values")
     t.add_argument("--output", help="write tables to a file instead of stdout")

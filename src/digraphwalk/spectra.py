@@ -3,32 +3,31 @@ spectral map between discriminant and transfer-matrix spectra.
 
 Characteristic polynomials are computed division-free (Berkowitz), so
 integer inputs give integer coefficients and cyclotomic inputs stay in the
-field.  Stacks of integer matrices go through one batched kernel:
-Berkowitz on a numpy int64 stack of residues modulo primes p < 2^28, the
-integers rebuilt by symmetric CRT.  It is exact by two bounds.  Hadamard's
-bound gives |c_k| <= C(n, k) * (sqrt(k) * a)^k for entries of modulus at
-most a, and the kernel takes primes until their product exceeds twice the
-largest of these (falling back to Python integers when its list runs out).
-Every int64 sum it forms has at most n + 1 <= 65 products of residues below
-2^28, so it stays below 2^63 for n <= 64.  ``charpoly_batch`` reduces an
-integer stack into it; ``hermitian_charpoly_batch`` feeds it H_eta at
+field.  Every charpoly, of any dimension, entry width and field, comes from
+one batched kernel: Berkowitz on a numpy int64 stack of residues modulo
+primes p < 2^28, the integers rebuilt by symmetric CRT.  It is exact by two
+bounds.  Hadamard's bound gives |c_k| <= C(n, k) * (sqrt(k) * a)^k for
+entries of modulus at most a, and the kernel takes primes until their
+product exceeds twice the largest of these; the prime source grows on
+demand, so any bound is met.  Every int64 sum it forms is reduced after at
+most 64 products of residues below 2^28, so it stays below 2^63 at any n.
+``charpoly_batch`` reduces an integer stack into it (entries wider than
+int64 in Python ints); ``hermitian_charpoly_batch`` feeds it H_eta at
 angles of order 2, 4 and 6 from a 0/1 adjacency stack, each entry read from
 a four-entry residue table per prime.
 
 ``charpoly_exact`` feeds it one operator over any Z[zeta_m]: the integer
 core B of the similar matrix B / L, whose coefficient k is B's over L^k.
 A core with integer entries takes ``charpoly_int``.  Otherwise each prime
-is 1 (mod m) (CHARPOLY_PRIMES, 1 (mod 12), when m divides 12), so Phi_m
-has phi(m) distinct roots r_j mod p, one ring homomorphism per embedding
-of the field.  B is evaluated at all of them, and the residues of each
-coefficient's phi(m) power-basis coordinates follow by the inverse
+is 1 (mod m) (1 (mod 12), the integer kernel's primes, when m divides 12),
+so Phi_m has phi(m) distinct roots r_j mod p, one ring homomorphism per
+embedding of the field.  B is evaluated at all of them, and the residues of
+each coefficient's phi(m) power-basis coordinates follow by the inverse
 Vandermonde (r_j^l) mod p, then the coordinates by symmetric CRT.  The
 prime count is proved: Hadamard's bound holds under every embedding with
 a = max_entry sum_k |c_k|, and each coordinate is at most F_m times it,
 F_m = phi * max_l sum_k |G^-1_lk| from the trace form G_kl =
-Tr(zeta^(k + l)), computed in Fractions.  Evaluation and interpolation sum
-at most 64 products below 2^56 per int64 reduction.  Only where the prime
-list runs short does the charpoly come from Berkowitz over ``CycScalar``s.
+Tr(zeta^(k + l)), computed in Fractions.
 
 The transfer-matrix spectrum is assembled from the discriminant
 spectrum through phi(z) = (z + 1/z)/2 together with the exact +-1
@@ -46,12 +45,10 @@ from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
-from .cyclotomic import Angle, CycScalar, _conj_map, cyclotomic_polynomial, exact_ints
+from .cyclotomic import Angle, CycScalar, _conj_map, _max_abs, cyclotomic_polynomial, exact_ints
 from .cycles import classify_cycles
 from .digraph import Digraph, PreconditionError, arc_space, weakly_connected
 from .operators import OpMatrix, build_H_tilde, build_U_theta
-
-MAX_CHARPOLY_DIM = 64
 
 
 # -- characteristic polynomials ---------------------------------------------
@@ -61,7 +58,9 @@ def berkowitz_charpoly(rows, one, zero):
     """Division-free characteristic polynomial of a square matrix.
 
     Works over any commutative ring given its one and zero; returns the
-    coefficients of det(lambda*I - M), highest degree first (monic).
+    coefficients of det(lambda*I - M), highest degree first (monic).  The
+    package runs it only in ``charpoly_int`` on one matrix of order <= 8;
+    every other charpoly comes from the modular kernel.
     """
     n = len(rows)
     if n == 0:
@@ -93,16 +92,6 @@ def berkowitz_charpoly(rows, one, zero):
     return coeffs
 
 
-# Primes p < 2^28 with p = 1 (mod 12), so that Z/p holds the 4th and the 6th
-# roots of unity: the prime source of Z and of every Z[zeta_m] with m | 12.
-# Residues lie in [0, p), so every product is below 2^56; every sum the
-# kernel forms has at most n + 1 <= 65 such terms, which is below
-# 65 * 2^56 < 2^63: int64 cannot overflow for n <= MAX_CHARPOLY_DIM.
-CHARPOLY_PRIMES = (268435273, 268435129, 268435033, 268435009, 268434997,
-                   268434961, 268434949, 268434937, 268434841, 268434781,
-                   268434721, 268434697)
-
-
 def _prime_factors(k: int) -> list[int]:
     """The distinct prime factors of k >= 1, ascending."""
     out, q = [], 2
@@ -119,20 +108,27 @@ def _is_prime(p: int) -> bool:
     return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-@lru_cache(maxsize=None)
-def _field_primes(m: int) -> tuple[int, ...]:
-    """The prime source of Z[zeta_m]: primes p < 2^28 with p = 1 (mod m),
-    as many as CHARPOLY_PRIMES.  That list itself when m divides 12;
-    otherwise the largest such primes, descending, made on first use."""
-    if 12 % m == 0:
-        return CHARPOLY_PRIMES
-    out = []
-    p = (2 ** 28 - 2) // m * m + 1
-    while len(out) < len(CHARPOLY_PRIMES) and p > m:
+# the prime source of each step: 12 (every m dividing 12, the integers
+# included) or m; primes p < 2^28, descending, made on demand and kept
+_PRIME_SOURCE: dict[int, list[int]] = {}
+
+
+def _field_primes(m: int, count: int) -> tuple[int, ...]:
+    """The first ``count`` primes of the source of Z[zeta_m]: p < 2^28 with
+    p = 1 (mod m), descending.  When m divides 12 they are 1 (mod 12), so
+    Z/p holds the 4th and 6th roots of unity and one list serves Z and the
+    fields of H_eta's residue tables.  Residues lie in [0, p), so every
+    product of two is below 2^56."""
+    step = 12 if 12 % m == 0 else m
+    out = _PRIME_SOURCE.setdefault(step, [])
+    p = out[-1] - step if out else (2 ** 28 - 2) // step * step + 1
+    while len(out) < count:
+        if p < 2:
+            raise ArithmeticError(f"fewer than {count} primes below 2^28 are 1 (mod {m})")
         if _is_prime(p):
             out.append(p)
-        p -= m
-    return tuple(out)
+        p -= step
+    return tuple(out[:count])
 
 
 def _mobius(k: int) -> int:
@@ -173,11 +169,11 @@ def _coordinate_factor(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _prime_count(n: int, norm2: int, m: int = 1) -> int | None:
+def _prime_count(n: int, norm2: int, m: int = 1) -> int:
     """Fewest leading primes of _field_primes(m) whose product exceeds twice
     F_m times Hadamard's bound on every coefficient of an n x n charpoly with
-    entries of squared modulus at most norm2; None when the source is too
-    short.  F_1 = 1, which is the integer case.
+    entries of squared modulus at most norm2.  F_1 = 1, which is the integer
+    case.
 
     c_k is a sum of C(n, k) principal k x k minors, each at most
     (sqrt(k) * a)^k in modulus, so |c_k| <= C(n, k) * (k * norm2)^(k/2)
@@ -185,12 +181,11 @@ def _prime_count(n: int, norm2: int, m: int = 1) -> int | None:
     squares to stay in integers."""
     need = max(comb(n, k) ** 2 * (k * norm2) ** k for k in range(n + 1))
     f = _coordinate_factor(m)
-    modulus = 1
-    for count, p in enumerate(_field_primes(m), start=1):
-        modulus *= p
-        if (modulus * f.denominator) ** 2 > 4 * f.numerator ** 2 * need:
-            return count
-    return None
+    count, modulus = 0, 1
+    while (modulus * f.denominator) ** 2 <= 4 * f.numerator ** 2 * need:
+        count += 1
+        modulus *= _field_primes(m, count)[-1]
+    return count
 
 
 # int64 entries per residue stack handed to _berkowitz_mod (2 MB)
@@ -214,7 +209,7 @@ def _roots_of_unity(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     ks = [k for k in range(1, m + 1) if gcd(k, m) == 1]
     factors = _prime_factors(m)
     vander, inverse = [], []
-    for p in _field_primes(m)[:count]:
+    for p in _field_primes(m, count):
         r = next(r for r in (pow(x, (p - 1) // m, p) for x in range(2, p))
                  if all(pow(r, m // q, p) != 1 for q in factors))
         nodes = [pow(r, k, p) for k in ks]
@@ -232,13 +227,16 @@ def _roots_of_unity(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(vander, dtype=np.int64), np.array(inverse, dtype=np.int64)
 
 
-def _dot_mod(a: np.ndarray, b: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """(P, i, k) @ (P, k, j) residues, reduced mod the P primes.  The inner
-    axis runs in blocks of 64, so each int64 sum has at most 64 products
-    below 2^56 and one residue below 2^28: below 2^63 for any k."""
-    pk = primes[:, None, None]
-    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
-    for lo in range(0, a.shape[-1], 64):
+def _dot_mod(a: np.ndarray, b: np.ndarray, pk: np.ndarray) -> np.ndarray:
+    """(P, ..., i, k) @ (P, ..., k, j) residues in (-p, p), reduced into
+    [0, p) mod the P primes of pk, shaped to broadcast over the leading
+    axis.  The inner axis runs in blocks of 64, so each int64 sum has at
+    most 64 products below 2^56 in modulus and one residue below 2^28:
+    below 2^63 in modulus for any k."""
+    if a.shape[-1] <= 64:   # one block: the Krylov loop's calls skip the slicing
+        return a @ b % pk
+    out = a[..., :64] @ b[..., :64, :] % pk
+    for lo in range(64, a.shape[-1], 64):
         out = (out + a[..., lo:lo + 64] @ b[..., lo:lo + 64, :]) % pk
     return out
 
@@ -251,30 +249,28 @@ def _toeplitz_index(k: int) -> np.ndarray:
 def _berkowitz_mod(res: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """Division-free Berkowitz on a (P, B, n, n) stack of residues modulo
     the P primes; returns the (P, B, n + 1) residues of the charpolys,
-    highest degree first."""
+    highest degree first.  Every product goes through _dot_mod."""
     n = res.shape[-1]
     lead = res.shape[:2]
-    p2, p3 = primes[:, None, None], primes[:, None, None, None]
-    coeffs = np.zeros(lead + (n + 1, 1), dtype=np.int64)
-    coeffs[..., 0, 0] = 1
-    coeffs[..., 1, 0] = -res[..., 0, 0] % primes[:, None]
-    for k in range(1, n):
-        # Krylov columns c, A c, ..., A^(k-1) c of the leading k x k block A
-        sub = res[..., :k, :k]
-        v = res[..., :k, k:k + 1]
-        krylov = [v]
-        for _ in range(k - 1):
-            v = (sub @ v) % p3
-            krylov.append(v)
-        # k zeros, then Berkowitz's column 1, -d, -r c, -r A c, ..., -r A^(k-1) c
+    pk = primes[:, None, None, None]
+    coeffs = np.ones(lead + (1, 1), dtype=np.int64)
+    for k in range(n):
+        # k zeros, then Berkowitz's column 1, -d, -r c, -r A c, ..., -r A^(k-1) c,
+        # every entry in (-p, p)
         t = np.zeros(lead + (2 * k + 2,), dtype=np.int64)
         t[..., k] = 1
         t[..., k + 1] = -res[..., k, k]
-        t[..., k + 2:] = -(res[..., k:k + 1, :k] @ np.concatenate(krylov, axis=-1))[..., 0, :]
-        t %= p2
+        if k:
+            # Krylov columns c, A c, ..., A^(k-1) c of the leading k x k block A
+            sub = res[..., :k, :k]
+            krylov = [res[..., :k, k:k + 1]]
+            for _ in range(k - 1):
+                krylov.append(_dot_mod(sub, krylov[-1], pk))
+            moments = _dot_mod(-res[..., k:k + 1, :k], np.concatenate(krylov, axis=-1), pk)
+            t[..., k + 2:] = moments[..., 0, :]
         # multiply by the lower-triangular Toeplitz matrix of that column:
         # row i of t[..., _toeplitz_index(k)] against the reversed coefficients
-        coeffs[..., :k + 2, :] = (t[..., _toeplitz_index(k)] @ coeffs[..., k::-1, :]) % p3
+        coeffs = _dot_mod(t[..., _toeplitz_index(k)], coeffs[..., ::-1, :], pk)
     return coeffs[..., 0]
 
 
@@ -298,48 +294,36 @@ def _symmetric_crt(res: np.ndarray, primes) -> list[list[int]]:
     return np.where(value > modulus // 2, value - modulus, value).tolist()
 
 
-def _charpoly_residues(stack, primes: np.ndarray, residues):
-    """The (P, b, n + 1) charpoly residues of the B matrices of a (B, ..., n, n)
-    stack, n >= 1, modulo the P primes, chunk by chunk; ``residues(chunk,
-    pk)`` gives the (P, b, n, n) residues of at most _KERNEL_ENTRIES of them
-    at a time."""
-    step = max(1, _KERNEL_ENTRIES // (len(primes) * stack.shape[-1] ** 2))
+def _charpoly_mod(stack, primes: tuple[int, ...], residues) -> list[list[int]]:
+    """Charpolys of the B matrices of a (B, ..., n, n) stack modulo the
+    primes, rebuilt by symmetric CRT.  ``residues(chunk, pk)`` gives the
+    (P, b, n, n) residues of a chunk of at most _KERNEL_ENTRIES of them."""
+    pk = np.array(primes, dtype=np.int64)
+    step = max(1, _KERNEL_ENTRIES // max(1, len(primes) * stack.shape[-1] ** 2))
+    out = []
     for lo in range(0, len(stack), step):
-        yield _berkowitz_mod(residues(stack[lo:lo + step], primes[:, None, None, None]), primes)
-
-
-def _charpoly_mod(stack: np.ndarray, count: int, residues) -> list[list[int]]:
-    """Charpolys of the matrices of a stack (``_charpoly_residues``) modulo
-    the first ``count`` primes, rebuilt by symmetric CRT."""
-    primes = CHARPOLY_PRIMES[:count]
-    return [row for res in _charpoly_residues(stack, np.array(primes, dtype=np.int64), residues)
-            for row in _symmetric_crt(res, primes)]
+        res = _berkowitz_mod(residues(stack[lo:lo + step], pk[:, None, None, None]), pk)
+        out += _symmetric_crt(res, primes)
+    return out
 
 
 def charpoly_batch(stack) -> list[list[int]]:
     """Exact characteristic polynomials of a (B, n, n) stack of integer
     matrices, each highest degree first, as Python ints.
 
-    Division-free Berkowitz runs on the whole stack modulo as many of
-    CHARPOLY_PRIMES as Hadamard's bound asks for, and the coefficients are
-    rebuilt by symmetric CRT.  Where the bound needs more primes than the
-    list has, or n exceeds MAX_CHARPOLY_DIM, the coefficients come from
-    berkowitz_charpoly over exact Python ints instead."""
+    Division-free Berkowitz runs on the whole stack modulo as many primes
+    as Hadamard's bound asks for, and the coefficients are rebuilt by
+    symmetric CRT.  A stack beyond int64 (uint64 or Python ints) is reduced
+    mod p in Python ints, since numpy takes uint64 % int64 to float64."""
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise PreconditionError(f"expected a stack of square matrices, got shape {stack.shape}")
     if stack.dtype.kind not in "biuO":
         raise PreconditionError(f"charpoly kernel takes integer entries, got {stack.dtype}")
-    n = stack.shape[1]
-    if stack.size == 0:
-        return [[1] for _ in range(stack.shape[0])]
-    wide = stack.dtype == object or (stack.dtype.kind == "u" and stack.dtype.itemsize == 8)
-    a_max = max(int(stack.max()), -int(stack.min()))
-    count = None if wide or n > MAX_CHARPOLY_DIM else _prime_count(n, a_max * a_max)
-    if count is None:
-        return [berkowitz_charpoly([[int(x) for x in row] for row in mat], 1, 0)
-                for mat in stack.tolist()]
-    return _charpoly_mod(stack, count, lambda chunk, pk: chunk.astype(np.int64) % pk)
+    a_max = _max_abs(stack)
+    primes = _field_primes(1, _prime_count(stack.shape[1], a_max * a_max))
+    return _charpoly_mod(stack, primes,
+                         lambda chunk, pk: (exact_ints(chunk, 1) % pk).astype(np.int64, copy=False))
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +342,7 @@ def _residue_table(table: tuple[CycScalar, ...], count: int) -> np.ndarray:
         raise ArithmeticError("code table is not Hermitian: its charpolys need not be real")
     powers = _roots_of_unity(fwd.m, count)[0][:, 0].tolist()
     return np.array([[sum(c * rl for c, rl in zip(x.num, row)) % p for x in table]
-                     for p, row in zip(CHARPOLY_PRIMES, powers)], dtype=np.int64)
+                     for p, row in zip(_field_primes(fwd.m, count), powers)], dtype=np.int64)
 
 
 def hermitian_charpoly_batch(adj, eta: Angle) -> list[list[int]]:
@@ -370,9 +354,7 @@ def hermitian_charpoly_batch(adj, eta: Angle) -> list[list[int]]:
     digon) index the table (0, e^{i eta}, e^{-i eta}, 1), and each kernel
     chunk reads its residues from _residue_table.  Every entry has modulus
     at most 1, so Hadamard's bound takes norm^2 = 1; the coefficients are
-    integers, as Q(zeta_m) has real subfield Q at these orders.  Beyond
-    MAX_CHARPOLY_DIM they come from berkowitz_charpoly over the exact
-    table instead."""
+    integers, as Q(zeta_m) has real subfield Q at these orders."""
     adj = np.asarray(adj)
     if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
         raise PreconditionError(f"expected a stack of square matrices, got shape {adj.shape}")
@@ -380,21 +362,13 @@ def hermitian_charpoly_batch(adj, eta: Angle) -> list[list[int]]:
         raise PreconditionError("H_eta keys need a 0/1 adjacency stack")
     if eta.order not in (2, 4, 6):
         raise PreconditionError(f"the H_eta kernel covers angles of order 2, 4 and 6, not {eta}")
-    n, m = adj.shape[1], eta.order
+    m = eta.order
+    table = (CycScalar.rational(0, m), CycScalar.zeta(m, eta.p), CycScalar.zeta(m, -eta.p),
+             CycScalar.rational(1, m))
+    primes = _field_primes(m, _prime_count(adj.shape[1], 1))
+    residues = _residue_table(table, len(primes))
     codes = adj + 2 * np.swapaxes(adj, 1, 2)
-    zero, one = CycScalar.rational(0, m), CycScalar.rational(1, m)
-    table = (zero, CycScalar.zeta(m, eta.p), CycScalar.zeta(m, -eta.p), one)
-    count = _prime_count(n, 1) if 0 < n <= MAX_CHARPOLY_DIM else None
-    if count is not None:
-        residues = _residue_table(table, count)
-        return _charpoly_mod(codes, count, lambda chunk, pk: residues[:, chunk])
-    out = []
-    for mat in codes.tolist():
-        coeffs = berkowitz_charpoly([[table[c] for c in row] for row in mat], one, zero)
-        if not all(c.is_rational() for c in coeffs):
-            raise ArithmeticError("Hermitian charpoly produced a non-real coefficient")
-        out.append([int(c.rational_value()) for c in coeffs])
-    return out
+    return _charpoly_mod(codes, primes, lambda chunk, pk: residues[:, chunk])
 
 
 # Up to this dimension one matrix is faster through berkowitz_charpoly over
@@ -410,11 +384,7 @@ def charpoly_int(rows) -> list[int]:
     n = len(rows)
     if n <= _PY_CHARPOLY_MAX_DIM:
         return berkowitz_charpoly([[int(x) for x in row] for row in rows], 1, 0)
-    try:
-        stack = np.array(rows, dtype=np.int64).reshape(1, n, n)
-    except OverflowError:
-        stack = np.array([[[int(x) for x in row] for row in rows]], dtype=object).reshape(1, n, n)
-    return charpoly_batch(stack)[0]
+    return charpoly_batch(np.array(rows)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -461,7 +431,7 @@ def _all_real(coeffs, m: int) -> bool:
     return not (nums @ imag.T).any()
 
 
-def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[tuple[int, ...]] | None:
+def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[tuple[int, ...]]:
     """Charpoly of the matrix of a (phi(m), n, n) integer coordinate stack
     over Z[zeta_m], highest degree first, each coefficient as its phi(m)
     integer coordinates in the power basis.
@@ -474,63 +444,45 @@ def _cyclotomic_charpoly(m: int, coords: np.ndarray) -> list[tuple[int, ...]] | 
     a_l mod p, and symmetric CRT the integer a_l.  That is exact by a proved
     bound: an entry has modulus at most sum_k |c_k| under every embedding,
     so Hadamard's bound holds for every sigma_j(c), and |a_l| <= F_m times
-    it (``_coordinate_factor``).  Evaluation and interpolation go through
-    _dot_mod, which keeps every int64 sum below 2^63.  None when n = 0,
-    n > MAX_CHARPOLY_DIM or the prime source is too short."""
+    it (``_coordinate_factor``).  The source supplies as many primes as
+    that bound asks for, at any n."""
     phi, n = coords.shape[0], coords.shape[-1]
     norm = int(np.abs(exact_ints(coords, phi)).sum(axis=0).max(initial=0))
-    count = _prime_count(n, norm * norm, m) if 0 < n <= MAX_CHARPOLY_DIM else None
-    if count is None:
-        return None
-    primes = _field_primes(m)[:count]
+    count = _prime_count(n, norm * norm, m)
+    primes = _field_primes(m, count)
     pk = np.array(primes, dtype=np.int64)
+    p3 = pk[:, None, None]
     vander, inverse = _roots_of_unity(m, count)
-    flat = (coords.reshape(1, phi, n * n) % pk[:, None, None]).astype(np.int64)
-
-    def residues(roots, _pk):
-        return _dot_mod(vander[:, roots], flat, pk).reshape(count, len(roots), n, n)
-
-    at_roots = np.concatenate(list(_charpoly_residues(np.arange(phi), pk, residues)), axis=1)
-    return list(zip(*_symmetric_crt(_dot_mod(inverse, at_roots, pk), primes)))
+    flat = (coords.reshape(1, phi, n * n) % p3).astype(np.int64)
+    at_roots = _berkowitz_mod(_dot_mod(vander, flat, p3).reshape(count, phi, n, n), pk)
+    return list(zip(*_symmetric_crt(_dot_mod(inverse, at_roots, p3), primes)))
 
 
 def charpoly_exact(m: OpMatrix) -> CharPoly:
-    """Exact characteristic polynomial of a square operator matrix.
+    """Exact characteristic polynomial of a square operator matrix, of any
+    dimension.
 
     Square-root-annotated matrices diag(1/sqrt(d)) A diag(1/sqrt(d)) are
     handled through the exact similar matrix diag(1/d) A.  That matrix is
     B / L, B its integer coordinate stack and L its denominator, so
     coefficient k of lambda^(n - k) is B's divided by L^k.  B's charpoly is
     ``charpoly_int``'s when B has integer entries and
-    ``_cyclotomic_charpoly``'s otherwise; only where that route's prime
-    source is too short do the coefficients come from berkowitz_charpoly
-    over the ``CycScalar`` entries.  A self-adjoint input must give real
-    coefficients, checked exactly."""
+    ``_cyclotomic_charpoly``'s otherwise.  A self-adjoint input must give
+    real coefficients, checked exactly."""
     if not m.is_square():
         raise PreconditionError("characteristic polynomial of a non-square matrix")
-    n = m.row_space.dim
-    if n > MAX_CHARPOLY_DIM:
-        raise PreconditionError(f"dimension {n} exceeds the exact-charpoly bound {MAX_CHARPOLY_DIM}")
     self_adjoint = m.is_self_adjoint()
     if m.row_sqrt != m.col_sqrt:
         raise PreconditionError("charpoly of an asymmetrically annotated matrix")
     similar = m.similar()
     core, den = similar.coords, similar.den
-    desc = None
     if not core[1:].any():
         desc = [CycScalar.rational(Fraction(c, den ** k))
                 for k, c in enumerate(charpoly_int(core[0].tolist()))]
     else:
-        nums = _cyclotomic_charpoly(similar.m, core)
-        if nums is not None:
-            desc = [CycScalar(similar.m, num, den ** k) for k, num in enumerate(nums)]
-    if desc is not None:
-        coeffs = tuple(reversed(desc))
-    else:
-        rows = [list(r) for r in similar.data]
-        zero = CycScalar.rational(0)
-        one = CycScalar.rational(1)
-        coeffs = tuple(reversed(berkowitz_charpoly(rows, one, zero)))
+        desc = [CycScalar(similar.m, num, den ** k)
+                for k, num in enumerate(_cyclotomic_charpoly(similar.m, core))]
+    coeffs = tuple(reversed(desc))
     real = _all_real(coeffs, similar.m)
     if self_adjoint and not real:
         raise ArithmeticError("self-adjoint input produced a non-real coefficient")

@@ -12,8 +12,7 @@ Class counts are split by whether class members are graphs (every arc in a
 digon) or proper digraphs.  One pipeline serves every order: each base
 (underlying graph) is one partition, its orientations are keyed (on worker
 processes if asked), and the partitions are merged.  One order-6 column
-(1 540 944 digraphs) takes 8 to 10 s (H_eta) or 13 to 16 s (A, U2plus) on
-one core.
+(1 540 944 digraphs) takes 7 to 9 s on one core.
 """
 
 from __future__ import annotations
@@ -78,10 +77,10 @@ def _checked_functor(functor: str, eta: Angle | None) -> tuple[str, Angle | None
 
 def _classing_keys(adj: np.ndarray, functor: str, eta: Angle | None) -> list[bytes]:
     """Canonical charpoly keys of functor(g), A or H_eta, for a (B, n, n)
-    stack of 0/1 adjacency matrices.  Every integer and quadratic-field
-    charpoly comes from one kernel call: charpoly_batch for A,
-    hermitian_charpoly_batch for H_eta at angles of order 2, 4 and 6.  At
-    other angles each H_eta takes charpoly_exact's modular route."""
+    stack of 0/1 adjacency matrices, all from the one modular kernel: one
+    call of charpoly_batch for A and of hermitian_charpoly_batch for H_eta
+    at angles of order 2, 4 and 6; at other angles one charpoly_exact per
+    H_eta, which runs the same kernel over its field."""
     if functor == "A":
         return [_int_key(c) for c in charpoly_batch(adj)]
     if eta.order in (2, 4, 6):
@@ -230,8 +229,7 @@ def classify(order: int, functor: str, eta: Angle | None = None,
     Each base (underlying graph) of the order is one partition, its
     orientations keyed once: in this process when ``jobs`` is 1, on ``jobs``
     worker processes otherwise; the result does not depend on jobs.  One
-    order-6 column takes 8 to 10 s (H_eta) or 13 to 16 s (A, U2plus) with
-    one job and about half that with two."""
+    order-6 column takes 7 to 9 s with one job and about 5 s with two."""
     if order not in DIGRAPH_CLASS_COUNTS:
         raise PreconditionError(f"classing supports orders 2..6, got {order}")
     tasks = [(order, *_checked_functor(functor, eta), index)

@@ -81,11 +81,22 @@ def test_charpoly_of_normalized_matrix_uses_similarity():
     assert np.allclose(coeffs, theirs, atol=1e-10)
 
 
-def test_charpoly_dimension_bound():
-    sp = IndexSpace("vertex", tuple(range(65)))
-    big = OpMatrix(sp, sp, [[CycScalar.rational(0)] * 65 for _ in range(65)])
-    with pytest.raises(PreconditionError):
-        charpoly_exact(big)
+@pytest.mark.parametrize("case", ["no matrices", "order zero", "0x0 operator"])
+def test_charpoly_at_edge_sizes(case):
+    from digraphwalk.spectra import charpoly_batch, hermitian_charpoly_batch
+
+    if case == "0x0 operator":
+        sp = IndexSpace("vertex", ())
+        empty = np.zeros((2, 0, 0), dtype=np.int64)
+        for mat in (OpMatrix(sp, sp, []), OpMatrix.from_coords(sp, sp, 6, empty)):
+            p = charpoly_exact(mat)
+            assert [c.rational_value() for c in p.coeffs] == [1] and p.ring == "integer"
+        return
+    b, n = (0, 4) if case == "no matrices" else (3, 0)
+    stack = np.zeros((b, n, n), dtype=np.uint8)
+    assert charpoly_batch(stack) == charpoly_batch(stack.astype(object)) == [[1]] * b
+    for eta in (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3)):
+        assert hermitian_charpoly_batch(stack, eta) == [[1]] * b
 
 
 def test_eig_hermitian_complete_graphs():
@@ -227,11 +238,15 @@ def _is_prime(p: int) -> bool:
 
 
 def test_kernel_primes_split_the_quadratic_fields():
-    from digraphwalk.spectra import CHARPOLY_PRIMES
+    # Z and every Z[zeta_m] with m | 12 read one source of primes 1 (mod 12)
+    from digraphwalk.spectra import _field_primes
 
-    assert len(set(CHARPOLY_PRIMES)) == len(CHARPOLY_PRIMES)
-    for p in CHARPOLY_PRIMES:
+    primes = _field_primes(1, 20)
+    assert len(set(primes)) == len(primes)
+    for p in primes:
         assert p < 2 ** 28 and p % 12 == 1 and _is_prime(p)
+    for m in (2, 3, 4, 6, 12):
+        assert _field_primes(m, 20) == primes
 
 
 def test_kernel_matches_python_berkowitz_on_random_stacks():
@@ -261,19 +276,57 @@ def test_one_matrix_charpoly_equals_kernel_on_both_routes():
                 assert got == want and all(type(c) is int for c in got), n
 
 
-def test_kernel_sylvester_hadamard_64():
-    # H^2 = 64 I and trace 0, so the charpoly is (x^2 - 64)^32; det = 2^192
-    # needs several primes, which only the derived count supplies
+@pytest.mark.parametrize("n, values", [(65, range(-5, 6)), (80, (-1, 1)), (96, range(-5, 6))])
+def test_kernel_beyond_64_matches_python_berkowitz(n, values):
+    # sums of more than 64 products are reduced blockwise, and the source
+    # supplies whatever prime count the bound asks for
+    from digraphwalk.spectra import berkowitz_charpoly, charpoly_batch
+
+    stack = np.random.default_rng(n).choice(list(values), size=(1, n, n))
+    assert charpoly_batch(stack) == [berkowitz_charpoly(stack[0].tolist(), 1, 0)]
+
+
+def test_dot_mod_reduces_every_64_products():
+    # 200 products of residues p - 1 (or 1 - p) sum to about 200 * 2^56 > 2^63
+    from digraphwalk.spectra import _dot_mod, _field_primes
+
+    primes = _field_primes(1, 3)
+    pk = np.array(primes, dtype=np.int64)[:, None, None]
+    for k in (64, 65, 200):
+        for sign in (1, -1):
+            a = sign * (pk - 1) * np.ones((3, 2, k), dtype=np.int64)
+            b = (pk - 1) * np.ones((3, k, 1), dtype=np.int64)
+            want = [[[sign * k * (p - 1) ** 2 % p]] * 2 for p in primes]
+            assert _dot_mod(a, b, pk).tolist() == want, (k, sign)
+
+
+def _assert_sylvester_hadamard_charpoly(order: int) -> list[int]:
+    # H^2 = order I and trace 0, so the charpoly is (x^2 - order)^(order / 2)
     from math import comb
 
     h = np.array([[1]])
-    while len(h) < 64:
+    while len(h) < order:
         h = np.block([[h, h], [h, -h]])
-    want = [0] * 65
-    for j in range(33):
-        want[2 * j] = comb(32, j) * (-64) ** j
+    half = order // 2
+    want = [0] * (order + 1)
+    for j in range(half + 1):
+        want[2 * j] = comb(half, j) * (-order) ** j
     got = charpoly_int(h.tolist())
-    assert got == want and got[-1] == 2 ** 192
+    assert got == want
+    return got
+
+
+def test_kernel_sylvester_hadamard_64():
+    # det = 2^192 needs several primes, which only the derived count supplies
+    assert _assert_sylvester_hadamard_charpoly(64)[-1] == 2 ** 192
+
+
+def test_kernel_sylvester_hadamard_128():
+    # every residue is 1 or p - 1, and det = 2^448 needs 17 primes
+    import digraphwalk.spectra as spectra
+
+    assert spectra._prime_count(128, 1) == 17
+    assert _assert_sylvester_hadamard_charpoly(128)[-1] == 2 ** 448
 
 
 def test_kernel_splits_large_stacks(monkeypatch):
@@ -285,22 +338,25 @@ def test_kernel_splits_large_stacks(monkeypatch):
     assert spectra.charpoly_batch(stack) == whole
 
 
-def test_kernel_falls_back_beyond_the_prime_list(monkeypatch):
+def test_kernel_reduces_wide_entries_without_float_promotion():
+    # numpy takes uint64 % int64 to float64, so uint64 and object stacks are
+    # reduced mod p in Python ints before the int64 kernel
     import digraphwalk.spectra as spectra
 
     reference = spectra.berkowitz_charpoly
     rng = np.random.default_rng(7)
-    stack = rng.integers(-(2 ** 62), 2 ** 62, size=(2, 6, 6))
-    assert spectra._prime_count(6, 2 ** 124) is None
-    want = [reference([[int(x) for x in row] for row in m], 1, 0) for m in stack.tolist()]
-    calls = []
-    monkeypatch.setattr(spectra, "berkowitz_charpoly",
-                        lambda *a: calls.append(1) or reference(*a))
-    assert spectra.charpoly_batch(stack) == want
-    assert len(calls) == 2
-    # entries beyond int64 take the same route
+    wide = rng.integers(2 ** 62, 2 ** 63, size=(2, 9, 9)).astype(np.uint64) * np.uint64(2)
+    assert wide.dtype == np.uint64 and int(wide.max()) >= 2 ** 63
+    signed = rng.integers(-(2 ** 62), 2 ** 62, size=(2, 6, 6))
+    count = spectra._prime_count(6, 2 ** 124)
+    assert isinstance(count, int) and count > 12
+    for stack in (wide, signed, signed.astype(object) * 2 ** 10):
+        want = [reference(m, 1, 0) for m in stack.tolist()]
+        assert spectra.charpoly_batch(stack) == want
     big = [[2 ** 70, 1], [3, -(2 ** 65)]]
     assert charpoly_int(big) == reference(big, 1, 0)
+    big9 = [[(2 ** 70 + i) * (-1) ** (i * j) + j for j in range(9)] for i in range(9)]
+    assert charpoly_int(big9) == reference(big9, 1, 0)
 
 
 def _adjacency(g):
@@ -333,19 +389,17 @@ def test_hermitian_kernel_matches_cyclotomic_berkowitz(monkeypatch):
                 assert hermitian_charpoly_batch(adj, eta) == want, (n, eta)
 
 
-def test_hermitian_kernel_falls_back_beyond_the_dimension_bound(monkeypatch):
-    import digraphwalk.spectra as spectra
+def test_hermitian_kernel_beyond_64_equals_charpoly_exact():
+    from digraphwalk.spectra import hermitian_charpoly_batch
+    from digraphwalk.verify import SWEEP_ANGLES
 
-    rng = random.Random(7)
-    adj = np.stack([_adjacency(random_digraph(rng, 7)) for _ in range(3)])
-    angles = (Angle(0, 1), Angle(1, 3), Angle(1, 2), Angle(2, 3), Angle(1, 1))
-    want = [spectra.hermitian_charpoly_batch(adj, eta) for eta in angles]
-    monkeypatch.setattr(spectra, "MAX_CHARPOLY_DIM", 6)
-    calls = []
-    reference = spectra.berkowitz_charpoly
-    monkeypatch.setattr(spectra, "berkowitz_charpoly", lambda *a: calls.append(1) or reference(*a))
-    assert [spectra.hermitian_charpoly_batch(adj, eta) for eta in angles] == want
-    assert len(calls) == 3 * len(angles)
+    rng = random.Random(65)
+    for n in range(65, 71):
+        g = random_digraph(rng, n, 0.5)
+        for eta in SWEEP_ANGLES:
+            exact = charpoly_exact(build_H_eta(g, eta))
+            want = [int(c.rational_value()) for c in reversed(exact.coeffs)]
+            assert hermitian_charpoly_batch(_adjacency(g)[None], eta) == [want], (n, eta)
 
 
 def test_hermitian_table_must_pass_the_conjugate_check():
@@ -521,46 +575,102 @@ def test_cyclotomic_route_on_random_non_self_adjoint_stacks(monkeypatch):
     assert keyed == [True] * 12
 
 
-def test_cyclotomic_route_falls_back_when_the_prime_source_runs_short(monkeypatch):
-    import functools
-
+def test_cyclotomic_route_takes_more_than_twelve_primes(monkeypatch):
     import digraphwalk.spectra as spectra
 
-    g = random_connected_digraph(random.Random(5), 12, 0.5)
-    eta = Angle(1, 5)
-    want = _berkowitz_reference(util.oracle_H_eta(g, eta).rows, True)
-    small = build_H_eta(fig_digraph(), eta)
-    small_want = charpoly_exact(small)
-    source = spectra._field_primes
-    monkeypatch.setattr(spectra, "_field_primes", lambda m: source(m)[:1])
-    for name in ("_prime_count", "_roots_of_unity"):
-        monkeypatch.setattr(spectra, name, functools.lru_cache(getattr(spectra, name).__wrapped__))
-    calls = []
-    reference = spectra.berkowitz_charpoly
-    monkeypatch.setattr(spectra, "berkowitz_charpoly", lambda *a: calls.append(1) or reference(*a))
-    _assert_same(charpoly_exact(small), small_want)   # one prime is enough here
-    assert calls == []
-    _assert_same(charpoly_exact(build_H_eta(g, eta)), want)
-    assert calls == [1]
+    keyed = _routes(monkeypatch)
+    rng = random.Random(1312)
+    n, bound = 16, 2 ** 20
+    sp = IndexSpace("vertex", tuple(range(n)))
+    for m, den in ((10, 1), (14, 3)):
+        phi = len(CycScalar.rational(0, m).num)
+        coords = np.array([[[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                           for _ in range(phi)], dtype=np.int64)
+        norm = int(np.abs(coords).sum(axis=0).max())
+        assert spectra._prime_count(n, norm * norm, m) > 12
+        mat = OpMatrix.from_coords(sp, sp, m, coords, den)
+        rows = [[CycScalar(m, tuple(int(c) for c in coords[:, i, j]), den) for j in range(n)]
+                for i in range(n)]
+        got = charpoly_exact(mat)
+        assert not mat.is_self_adjoint() and not got.real_certified
+        _assert_same(got, _berkowitz_reference(rows, False), m)
+    assert keyed == [True, True]
+
+
+def _times(poly, ints):
+    """A polynomial with CycScalar coefficients times an integer one, both
+    constant term first."""
+    out = [CycScalar.rational(0)] * (len(poly) + len(ints) - 1)
+    for i, a in enumerate(poly):
+        for j, b in enumerate(ints):
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _int_power(base, e):
+    out = [1]
+    for _ in range(e):
+        out = [sum(base[j] * out[i - j] for j in range(len(base)) if 0 <= i - j < len(out))
+               for i in range(len(out) + len(base) - 1)]
+    return out
+
+
+def test_konno_sato_identity_above_dimension_64():
+    # det(lambda I - U) (lambda^2 - 1)^(|V| - |E|) = det((lambda^2 + 1) I - 2 lambda H~),
+    # exactly, with U of dimension 2|E| > 64; |E| > |V| here, so the power
+    # moves to the right, which is sum_k c_k (lambda^2 + 1)^k (2 lambda)^(|V| - k)
+    # over the coefficients c_k of det(x I - H~)
+    import digraphwalk.spectra as spectra
+    from digraphwalk.digraph import arc_space, underlying_edges
+
+    rng = random.Random(14)
+    g10 = random_connected_digraph(rng, 10, 0.5)
+    while len(underlying_edges(g10)) <= 32:
+        g10 = random_connected_digraph(rng, 10, 0.5)
+    k9 = complete_digraph(9)
+    cases = ((k9, Angle(1, 3)), (k9, Angle(1, 4)), (g10, Angle(2, 5)))
+    for g, eta in cases:
+        space = arc_space(g)
+        n_edges, n_vertices = len(space) // 2, sum(1 for d in space.degree if d > 0)
+        u = build_U_theta(g, eta)
+        assert u.row_space.dim == 2 * n_edges > 64 and n_edges > n_vertices
+        if g.n == 9:
+            norm = int(np.abs(u.coords.astype(object)).sum(axis=0).max())
+            assert spectra._prime_count(2 * n_edges, norm * norm, u.m) > 12
+        lhs = list(charpoly_exact(u).coeffs)
+        rhs = [CycScalar.rational(0)] * (2 * n_vertices + 1)
+        for k, c in enumerate(charpoly_exact(build_H_tilde(g, eta)).coeffs):
+            for i, b in enumerate(_int_power([1, 0, 1], k)):
+                if b:
+                    rhs[n_vertices - k + i] += c * (b * 2 ** (n_vertices - k))
+        assert _times(rhs, _int_power([-1, 0, 1], n_edges - n_vertices)) == lhs, (g, eta)
+        # the exponent off by one gives another polynomial
+        for e in (n_edges - n_vertices - 1, n_edges - n_vertices + 1):
+            assert _times(rhs, _int_power([-1, 0, 1], e)) != lhs, (g, eta, e)
 
 
 def test_prime_and_root_source():
     from fractions import Fraction
 
     from digraphwalk.cyclotomic import cyclotomic_polynomial
-    from digraphwalk.spectra import (
-        CHARPOLY_PRIMES,
-        _coordinate_factor,
-        _field_primes,
-        _roots_of_unity,
-    )
+    from digraphwalk.spectra import _coordinate_factor, _field_primes, _roots_of_unity
 
+    # the twelve largest primes 1 (mod 12) below 2^28
+    first = (268435273, 268435129, 268435033, 268435009, 268434997, 268434961,
+             268434949, 268434937, 268434841, 268434781, 268434721, 268434697)
+    for m in (12, 14):
+        primes = _field_primes(m, 40)
+        assert len(set(primes)) == len(primes) == 40
+        assert list(primes) == sorted(primes, reverse=True)
+        assert all(p < 2 ** 28 and p % m == 1 and _is_prime(p) for p in primes)
+    assert _field_primes(12, 12) == _field_primes(12, 40)[:12] == first
     hand = {4: 1, 6: 2, 10: 4, 14: 6}
     for m in (2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 18, 20):
-        primes = _field_primes(m)
+        primes = _field_primes(m, 12)
         if 12 % m == 0:
-            assert primes is CHARPOLY_PRIMES
-        assert len(set(primes)) == len(primes) == len(CHARPOLY_PRIMES)
+            assert primes == first
+        assert len(set(primes)) == len(primes) == 12
         assert all(p < 2 ** 28 and p % m == 1 and _is_prime(p) for p in primes)
         poly = cyclotomic_polynomial(m)
         phi = len(poly) - 1
